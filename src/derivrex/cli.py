@@ -17,10 +17,17 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .automaton import build_dfa, equivalent, to_dot, to_json
+from .automaton import (
+    DEFAULT_MAX_PAIRS,
+    DEFAULT_MAX_STATES,
+    build_dfa,
+    equivalent,
+    to_dot,
+    to_json,
+)
 from .derivative import deriv_word, matches, nullable
 from .errors import AlphabetError, DerivrexError
-from .oracle import dump_words, enumerate_lang
+from .oracle import DEFAULT_CAP, dump_words, enumerate_lang
 from .syntax import letters, parse, render, require_symbol
 
 
@@ -29,9 +36,9 @@ class SessionConfig:
     """Settings shared by the subcommands."""
 
     alphabet: tuple[str, ...]
-    max_states: int = 10_000
-    max_pairs: int = 100_000
-    enum_cap: int = 1_000_000
+    max_states: int = DEFAULT_MAX_STATES
+    max_pairs: int = DEFAULT_MAX_PAIRS
+    enum_cap: int = DEFAULT_CAP
     output_format: str = "text"
 
 
@@ -221,21 +228,21 @@ def _argparser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-states",
         type=_positive_int,
-        default=10_000,
+        default=DEFAULT_MAX_STATES,
         metavar="N",
         help="state budget for DFA construction",
     )
     common.add_argument(
         "--max-pairs",
         type=_positive_int,
-        default=100_000,
+        default=DEFAULT_MAX_PAIRS,
         metavar="N",
         help="pair budget for equivalence checking",
     )
     common.add_argument(
         "--enum-cap",
         type=_positive_int,
-        default=1_000_000,
+        default=DEFAULT_CAP,
         metavar="N",
         help="word budget for enumeration",
     )
@@ -335,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except DerivrexError as exc:
         print(f"derivrex: error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # anything else is a bug, but still an error
+        print(f"derivrex: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -7,8 +7,6 @@ whether the result accepts the empty word.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import EmptyWordError
 from .syntax import (
     EMPTY,
@@ -23,6 +21,7 @@ from .syntax import (
     Sym,
     Union,
     Word,
+    _setslot,
     canonicalize,
     concat,
     diff,
@@ -33,27 +32,14 @@ from .syntax import (
 )
 
 
-@lru_cache(maxsize=None)
 def nullable(e: Regex) -> bool:
     """Does the language of *e* contain the empty word?"""
-    match e:
-        case Empty() | Sym(_):
-            return False
-        case Epsilon() | Star(_):
-            return True
-        case Union(l, r):
-            return nullable(l) or nullable(r)
-        case Concat(l, r) | Intersect(l, r):
-            return nullable(l) and nullable(r)
-        case Diff(l, r):
-            return nullable(l) and not nullable(r)
-        case _:
-            raise TypeError(f"not a regex term: {e!r}")
+    return e._nullable  # worked out when the node was built
 
 
 def delta(e: Regex) -> Regex:
     """1 if *e* is nullable, 0 otherwise."""
-    return EPSILON if nullable(e) else EMPTY
+    return EPSILON if e._nullable else EMPTY
 
 
 def deriv_sym(a: str, e: Regex) -> Regex:
@@ -62,27 +48,35 @@ def deriv_sym(a: str, e: Regex) -> Regex:
     return _deriv(a, canonicalize(e))
 
 
-@lru_cache(maxsize=None)
 def _deriv(a: str, e: Regex) -> Regex:
     # e is canonical, so every subterm is canonical and the builders keep
-    # the result canonical.
-    match e:
-        case Empty() | Epsilon():
-            return EMPTY
-        case Sym(ch):
-            return EPSILON if ch == a else EMPTY
-        case Union(l, r):
-            return union(_deriv(a, l), _deriv(a, r))
-        case Concat(l, r):
-            return union(concat(_deriv(a, l), r), concat(delta(l), _deriv(a, r)))
-        case Star(x):
-            return concat(_deriv(a, x), e)
-        case Intersect(l, r):
-            return intersect(_deriv(a, l), _deriv(a, r))
-        case Diff(l, r):
-            return diff(_deriv(a, l), _deriv(a, r))
-        case _:
-            raise TypeError(f"not a regex term: {e!r}")
+    # the result canonical.  Results are kept on e, one per symbol.
+    memo = e._derivs
+    if memo is None:
+        memo = {}
+        _setslot(e, "_derivs", memo)
+    d = memo.get(a)
+    if d is None:
+        match e:
+            case Empty() | Epsilon():
+                d = EMPTY
+            case Sym(ch):
+                d = EPSILON if ch == a else EMPTY
+            case Union(l, r):
+                d = union(_deriv(a, l), _deriv(a, r))
+            case Concat(l, r):
+                # The second summand, delta(l) D_a(r), is 0 unless l is nullable.
+                d = concat(_deriv(a, l), r)
+                if l._nullable:
+                    d = union(d, _deriv(a, r))
+            case Star(x):
+                d = concat(_deriv(a, x), e)
+            case Intersect(l, r):
+                d = intersect(_deriv(a, l), _deriv(a, r))
+            case Diff(l, r):
+                d = diff(_deriv(a, l), _deriv(a, r))
+        memo[a] = d
+    return d
 
 
 def deriv_word(w: Word, e: Regex) -> Regex:

@@ -8,7 +8,6 @@ slices serve as a second opinion when testing the engine proper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EnumerationBudgetError, QuotientBoundError
 from .syntax import (
@@ -43,11 +42,14 @@ def enumerate_lang(e: Regex, k: int, cap: int = DEFAULT_CAP) -> LangSample:
     """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
-    return LangSample(k, _slice(e, k, cap))
+    return LangSample(k, _slice(e, k, cap, {}))
 
 
-@lru_cache(maxsize=None)
-def _slice(e: Regex, k: int, cap: int) -> frozenset[str]:
+def _slice(e: Regex, k: int, cap: int, memo: dict) -> frozenset[str]:
+    # memo holds the slices of subterms for one top-level call only.
+    out = memo.get(e)
+    if out is not None:
+        return out
     match e:
         case Empty():
             out = frozenset()
@@ -56,15 +58,15 @@ def _slice(e: Regex, k: int, cap: int) -> frozenset[str]:
         case Sym(ch):
             out = frozenset({ch}) if k >= 1 else frozenset()
         case Union(l, r):
-            out = _slice(l, k, cap) | _slice(r, k, cap)
+            out = _slice(l, k, cap, memo) | _slice(r, k, cap, memo)
         case Intersect(l, r):
-            out = _slice(l, k, cap) & _slice(r, k, cap)
+            out = _slice(l, k, cap, memo) & _slice(r, k, cap, memo)
         case Diff(l, r):
-            out = _slice(l, k, cap) - _slice(r, k, cap)
+            out = _slice(l, k, cap, memo) - _slice(r, k, cap, memo)
         case Concat(l, r):
             # Any word uv with |uv| <= k has |u| <= k and |v| <= k, so
             # pairing the two k-slices is exact.
-            firsts, seconds = _slice(l, k, cap), _slice(r, k, cap)
+            firsts, seconds = _slice(l, k, cap, memo), _slice(r, k, cap, memo)
             acc = set()
             for u in firsts:
                 room = k - len(u)
@@ -75,7 +77,7 @@ def _slice(e: Regex, k: int, cap: int) -> frozenset[str]:
         case Star(x):
             # Grow from the empty word by appending nonempty factors; every
             # star word of length <= k decomposes into such factors.
-            factors = [f for f in _slice(x, k, cap) if f]
+            factors = [f for f in _slice(x, k, cap, memo) if f]
             words = {""}
             frontier = [""]
             while frontier:
@@ -94,6 +96,7 @@ def _slice(e: Regex, k: int, cap: int) -> frozenset[str]:
             raise TypeError(f"not a regex term: {e!r}")
     if len(out) > cap:
         raise EnumerationBudgetError(cap)
+    memo[e] = out
     return out
 
 
@@ -114,7 +117,8 @@ def quotient(s: LangSample, a: str) -> LangSample:
 
 def lang_equal_upto(e: Regex, f: Regex, k: int, cap: int = DEFAULT_CAP) -> bool:
     """Do *e* and *f* agree on every word of length at most *k*?"""
-    return _slice(e, k, cap) == _slice(f, k, cap)
+    memo: dict = {}
+    return _slice(e, k, cap, memo) == _slice(f, k, cap, memo)
 
 
 def dump_words(s: LangSample) -> str:

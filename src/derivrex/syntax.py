@@ -27,9 +27,10 @@ nested stars, which keeps the set of derivatives of any term finite.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+import threading
+import weakref
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .errors import AlphabetError, ParseError
 
@@ -40,56 +41,150 @@ LETTERS = frozenset(string.ascii_lowercase)
 
 
 class Regex:
-    """Base class for terms.  Instances are immutable and hashable."""
+    """Base class for terms.
 
-    __slots__ = ()
+    Terms are hash-consed: building a term structurally equal to a live one
+    returns that very object, so equality and hashing are by identity and
+    cost O(1) whatever the size of the term.  Every node keeps its own memos
+    (sort key, nullability, canonical form, derivatives, printed text),
+    which are freed together with the last reference to the node.  Terms
+    are immutable: setting an attribute raises AttributeError.
+    """
+
+    __slots__ = ("_key", "_nullable", "_canon", "_derivs", "_text", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
 
     def __repr__(self) -> str:
         return f"<regex {render(self)}>"
 
+    def __reduce__(self):
+        # Copies and unpickled terms go back through the intern table.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-@dataclass(frozen=True, repr=False)
+
+# The intern table maps a class and the identities of its fields to the
+# live term with that structure.  Keys hold ids rather than the children:
+# a derivative of a star contains the star, so keys holding children would
+# keep every term reachable from this module.  Ids are safe because a live
+# term holds its children, so their ids cannot be reused while its entry
+# exists.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+_setslot = object.__setattr__
+
+
+def _intern(cls: type, key: tuple, order: tuple, nullable: bool, *fields) -> Regex:
+    # Called after a lookup missed.  The lookup is repeated under the lock
+    # so that threads racing to build one term agree on one object.
+    with _INTERN_LOCK:
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                _setslot(node, name, value)
+            _setslot(node, "_key", order)
+            _setslot(node, "_nullable", nullable)
+            _setslot(node, "_canon", None)
+            _setslot(node, "_derivs", None)
+            _setslot(node, "_text", None)
+            _INTERNED[key] = node
+    return node
+
+
 class Empty(Regex):
     """The empty language, written ``0``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+    def __new__(cls) -> Regex:
+        return _INTERNED.get((cls,)) or _intern(cls, (cls,), (0,), False)
+
+
 class Epsilon(Regex):
     """The language containing only the empty word, written ``1``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+    def __new__(cls) -> Regex:
+        return _INTERNED.get((cls,)) or _intern(cls, (cls,), (1,), True)
+
+
 class Sym(Regex):
-    ch: str
+    """A single symbol."""
+
+    __slots__ = ("ch",)
+    __match_args__ = ("ch",)
+
+    def __new__(cls, ch: str) -> Regex:
+        key = (cls, ch)
+        return _INTERNED.get(key) or _intern(cls, key, (2, ch), False, ch)
 
 
-@dataclass(frozen=True, repr=False)
-class Union(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True, repr=False)
-class Concat(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True, repr=False)
 class Star(Regex):
-    inner: Regex
+    """Kleene star."""
+
+    __slots__ = ("inner",)
+    __match_args__ = ("inner",)
+
+    def __new__(cls, inner: Regex) -> Regex:
+        key = (cls, id(inner))
+        return _INTERNED.get(key) or _intern(cls, key, (3, inner._key), True, inner)
 
 
-@dataclass(frozen=True, repr=False)
-class Intersect(Regex):
-    left: Regex
-    right: Regex
+class _Binary(Regex):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+    _tag: int  # rank in the term order
+    _null: Callable[[bool, bool], bool]  # nullability from the operands'
+
+    def __new__(cls, left: Regex, right: Regex) -> Regex:
+        key = (cls, id(left), id(right))
+        return _INTERNED.get(key) or _intern(
+            cls,
+            key,
+            (cls._tag, left._key, right._key),
+            cls._null(left._nullable, right._nullable),
+            left,
+            right,
+        )
 
 
-@dataclass(frozen=True, repr=False)
-class Diff(Regex):
-    left: Regex
-    right: Regex
+class Concat(_Binary):
+    """Concatenation."""
+
+    __slots__ = ()
+    _tag = 4
+    _null = staticmethod(lambda left, right: left and right)
+
+
+class Intersect(_Binary):
+    """Intersection, written ``&``."""
+
+    __slots__ = ()
+    _tag = 5
+    _null = staticmethod(lambda left, right: left and right)
+
+
+class Diff(_Binary):
+    """Difference, written ``-``."""
+
+    __slots__ = ()
+    _tag = 6
+    _null = staticmethod(lambda left, right: left and not right)
+
+
+class Union(_Binary):
+    """Union, written ``+``."""
+
+    __slots__ = ()
+    _tag = 7
+    _null = staticmethod(lambda left, right: left or right)
 
 
 EMPTY = Empty()
@@ -230,67 +325,59 @@ class _Parser:
 
 _UNION_PREC, _DIFF_PREC, _INTER_PREC, _CONCAT_PREC, _STAR_PREC, _ATOM_PREC = range(6)
 
+_PREC = {
+    Union: _UNION_PREC,
+    Diff: _DIFF_PREC,
+    Intersect: _INTER_PREC,
+    Concat: _CONCAT_PREC,
+    Star: _STAR_PREC,
+}
+
 
 def render(e: Regex) -> str:
     """Concrete syntax for a term.  parse(render(e)) gives back e itself."""
-    return _render(e, _UNION_PREC)
+    if not isinstance(e, Regex):
+        raise TypeError(f"not a regex term: {e!r}")
+    return _body(e)
 
 
-def _render(e: Regex, context: int) -> str:
-    match e:
-        case Empty():
-            return "0"
-        case Epsilon():
-            return "1"
-        case Sym(ch):
-            return ch
-        case Star(x):
-            return _wrap(_render(x, _STAR_PREC) + "*", _STAR_PREC, context)
-        case Concat(l, r):
-            body = _render(l, _STAR_PREC) + _render(r, _CONCAT_PREC)
-            return _wrap(body, _CONCAT_PREC, context)
-        case Intersect(l, r):
-            body = _render(l, _INTER_PREC) + "&" + _render(r, _CONCAT_PREC)
-            return _wrap(body, _INTER_PREC, context)
-        case Diff(l, r):
-            body = _render(l, _DIFF_PREC) + "-" + _render(r, _INTER_PREC)
-            return _wrap(body, _DIFF_PREC, context)
-        case Union(l, r):
-            body = _render(l, _UNION_PREC) + "+" + _render(r, _DIFF_PREC)
-            return _wrap(body, _UNION_PREC, context)
-        case _:
-            raise TypeError(f"not a regex term: {e!r}")
+def _body(e: Regex) -> str:
+    # The text without enclosing parentheses, kept on the node.  One frame
+    # per level of nesting, as _wrap does not recurse.
+    text = e._text
+    if text is None:
+        match e:
+            case Empty():
+                text = "0"
+            case Epsilon():
+                text = "1"
+            case Sym(ch):
+                text = ch
+            case Star(x):
+                text = _wrap(x, _body(x), _STAR_PREC) + "*"
+            case Concat(l, r):
+                text = _wrap(l, _body(l), _STAR_PREC) + _wrap(r, _body(r), _CONCAT_PREC)
+            case Intersect(l, r):
+                text = _wrap(l, _body(l), _INTER_PREC) + "&" + _wrap(r, _body(r), _CONCAT_PREC)
+            case Diff(l, r):
+                text = _wrap(l, _body(l), _DIFF_PREC) + "-" + _wrap(r, _body(r), _INTER_PREC)
+            case Union(l, r):
+                text = _wrap(l, _body(l), _UNION_PREC) + "+" + _wrap(r, _body(r), _DIFF_PREC)
+        _setslot(e, "_text", text)
+    return text
 
 
-def _wrap(body: str, prec: int, context: int) -> str:
-    return f"({body})" if prec < context else body
+def _wrap(e: Regex, body: str, context: int) -> str:
+    return f"({body})" if _PREC.get(type(e), _ATOM_PREC) < context else body
 
 
 # ---------------------------------------------------------------------------
 # Term ordering
-
-
-@lru_cache(maxsize=None)
-def _term_key(e: Regex) -> tuple:
-    match e:
-        case Empty():
-            return (0,)
-        case Epsilon():
-            return (1,)
-        case Sym(ch):
-            return (2, ch)
-        case Star(x):
-            return (3, _term_key(x))
-        case Concat(l, r):
-            return (4, _term_key(l), _term_key(r))
-        case Intersect(l, r):
-            return (5, _term_key(l), _term_key(r))
-        case Diff(l, r):
-            return (6, _term_key(l), _term_key(r))
-        case Union(l, r):
-            return (7, _term_key(l), _term_key(r))
-        case _:
-            raise TypeError(f"not a regex term: {e!r}")
+#
+# Every node carries its sort key, built at construction from the keys of
+# its children: (rank,) for 0 and 1, (rank, letter) for a symbol, and
+# (rank, child keys...) otherwise.  The order is structural, so it does not
+# depend on the order in which terms were interned.
 
 
 def term_order(a: Regex, b: Regex) -> int:
@@ -299,14 +386,36 @@ def term_order(a: Regex, b: Regex) -> int:
     Constructors rank 0 < 1 < symbol < star < concatenation < intersection
     < difference < union; ties are broken by comparing fields left to right.
     """
-    ka, kb = _term_key(a), _term_key(b)
+    ka, kb = a._key, b._key
     return (ka > kb) - (ka < kb)
 
 
-def _sum_key(e: Regex) -> tuple:
-    # 1 and 0 sort last inside canonical sums so results read the way sums
-    # are conventionally written: "(a+b)*a+1" rather than "1+(a+b)*a".
-    return (isinstance(e, (Empty, Epsilon)), _term_key(e))
+_sort_key = attrgetter("_key")
+
+
+def _chain(cls: type, args: set[Regex]) -> Regex:
+    # Left-nested chain of the operands in term order, except that 1 goes
+    # last so results read the way sums are conventionally written:
+    # "(a+b)*a+1" rather than "1+(a+b)*a".  (0 never gets here.)
+    ordered = sorted(args - {EPSILON}, key=_sort_key)
+    if EPSILON in args:
+        ordered.append(EPSILON)
+    node = ordered[0]
+    for arg in ordered[1:]:
+        node = cls(node, arg)
+    return node
+
+
+def _operands(e: Regex, cls: type) -> list[Regex]:
+    # The operands of a nest of cls nodes, left to right, without recursion.
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        while type(node) is cls:
+            stack.append(node.right)
+            node = node.left
+        out.append(node)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +430,31 @@ def _sum_key(e: Regex) -> tuple:
 
 def union(left: Regex, right: Regex) -> Regex:
     """Canonical union: flatten, drop 0, sort, deduplicate."""
-    args = sorted(
-        {a for side in (left, right) for a in _union_args(side) if a != EMPTY},
-        key=_sum_key,
-    )
-    if not args:
-        return EMPTY
-    node = args[0]
-    for arg in args[1:]:
-        node = Union(node, arg)
-    return node
+    args = set(_operands(left, Union))
+    args.update(_operands(right, Union))
+    args.discard(EMPTY)
+    return _chain(Union, args) if args else EMPTY
 
 
 def concat(left: Regex, right: Regex) -> Regex:
-    """Canonical concatenation: flatten right-nested, drop 1, absorb 0."""
-    parts = list(_concat_args(left)) + list(_concat_args(right))
-    if any(p == EMPTY for p in parts):
+    """Canonical concatenation: flatten right-nested, drop 1, absorb 0.
+
+    Only the left operand's factors are taken apart; a canonical right
+    operand is already nested to the right.
+    """
+    parts = _operands(left, Concat)
+    if right is EMPTY or EMPTY in parts:
         return EMPTY
-    parts = [p for p in parts if p != EPSILON]
-    if not parts:
-        return EPSILON
-    node = parts[-1]
-    for part in reversed(parts[:-1]):
-        node = Concat(part, node)
+    node = right
+    for part in reversed(parts):
+        if part is not EPSILON:
+            node = part if node is EPSILON else Concat(part, node)
     return node
 
 
 def star(inner: Regex) -> Regex:
     """Canonical star: 0* = 1* = 1, and a star of a star collapses."""
-    if inner == EMPTY or inner == EPSILON:
+    if inner is EMPTY or inner is EPSILON:
         return EPSILON
     if isinstance(inner, Star):
         return inner
@@ -358,66 +463,45 @@ def star(inner: Regex) -> Regex:
 
 def intersect(left: Regex, right: Regex) -> Regex:
     """Canonical intersection: flatten, sort, deduplicate, absorb 0."""
-    args = {a for side in (left, right) for a in _intersect_args(side)}
-    if EMPTY in args:
-        return EMPTY
-    ordered = sorted(args, key=_sum_key)
-    node = ordered[0]
-    for arg in ordered[1:]:
-        node = Intersect(node, arg)
-    return node
+    args = set(_operands(left, Intersect))
+    args.update(_operands(right, Intersect))
+    return EMPTY if EMPTY in args else _chain(Intersect, args)
 
 
 def diff(left: Regex, right: Regex) -> Regex:
     """Canonical difference: subtracting 0 or the term itself simplifies."""
-    if right == EMPTY:
+    if right is EMPTY:
         return left
-    if left == right:
+    if left is right:
         return EMPTY
     return Diff(left, right)
 
 
-def _union_args(e: Regex) -> Iterator[Regex]:
-    if isinstance(e, Union):
-        yield from _union_args(e.left)
-        yield from _union_args(e.right)
-    else:
-        yield e
-
-
-def _concat_args(e: Regex) -> Iterator[Regex]:
-    if isinstance(e, Concat):
-        yield from _concat_args(e.left)
-        yield from _concat_args(e.right)
-    else:
-        yield e
-
-
-def _intersect_args(e: Regex) -> Iterator[Regex]:
-    if isinstance(e, Intersect):
-        yield from _intersect_args(e.left)
-        yield from _intersect_args(e.right)
-    else:
-        yield e
-
-
-@lru_cache(maxsize=None)
 def canonicalize(e: Regex) -> Regex:
     """Rewrite a term to canonical form.
 
-    The result denotes the same language, and canonicalizing twice gives
-    the same term as canonicalizing once.
+    The result denotes the same language, and canonicalizing it again
+    returns the same object.  The result is kept on *e* (the slot holds
+    True once the term is known to be canonical itself).
     """
-    match e:
-        case Union(l, r):
-            return union(canonicalize(l), canonicalize(r))
-        case Concat(l, r):
-            return concat(canonicalize(l), canonicalize(r))
-        case Star(x):
-            return star(canonicalize(x))
-        case Intersect(l, r):
-            return intersect(canonicalize(l), canonicalize(r))
-        case Diff(l, r):
-            return diff(canonicalize(l), canonicalize(r))
-        case _:
-            return e
+    c = e._canon
+    if c is True:
+        return e
+    if c is None:
+        match e:
+            case Union(l, r):
+                c = union(canonicalize(l), canonicalize(r))
+            case Concat(l, r):
+                c = concat(canonicalize(l), canonicalize(r))
+            case Star(x):
+                c = star(canonicalize(x))
+            case Intersect(l, r):
+                c = intersect(canonicalize(l), canonicalize(r))
+            case Diff(l, r):
+                c = diff(canonicalize(l), canonicalize(r))
+            case _:
+                c = e
+        if c is not e:
+            _setslot(e, "_canon", c)
+        _setslot(c, "_canon", True)
+    return c

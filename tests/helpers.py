@@ -5,7 +5,19 @@ import random
 
 from hypothesis import strategies as st
 
-from derivrex import EMPTY, EPSILON, Concat, Diff, Intersect, Star, Sym, Union, parse
+from derivrex import (
+    EMPTY,
+    EPSILON,
+    Concat,
+    Diff,
+    Empty,
+    Epsilon,
+    Intersect,
+    Star,
+    Sym,
+    Union,
+    parse,
+)
 
 # Expressions drawn from the identity suite, its non-identity counterparts,
 # and the worked derivative examples.  Together with the random terms below
@@ -71,3 +83,30 @@ def regexes(alphabet="ab", max_leaves=8):
         )
 
     return st.recursive(leaves, compound, max_leaves=max_leaves)
+
+
+def term_key(e):
+    """Structural sort key computed from scratch, as a reference for term_order.
+
+    Constructors rank 0 < 1 < symbol < star < concatenation < intersection
+    < difference < union; ties compare fields left to right.
+    """
+    match e:
+        case Empty():
+            return (0,)
+        case Epsilon():
+            return (1,)
+        case Sym(ch):
+            return (2, ch)
+        case Star(x):
+            return (3, term_key(x))
+        case Concat(l, r):
+            return (4, term_key(l), term_key(r))
+        case Intersect(l, r):
+            return (5, term_key(l), term_key(r))
+        case Diff(l, r):
+            return (6, term_key(l), term_key(r))
+        case Union(l, r):
+            return (7, term_key(l), term_key(r))
+        case _:
+            raise TypeError(f"not a regex term: {e!r}")

@@ -134,6 +134,21 @@ class TestCheckIdentities:
         assert first == second
 
 
+class TestBackstop:
+    def test_deep_nesting_is_an_error_not_a_traceback(self, capsys):
+        expr = "(" * 170 + "a" + ")" * 170
+        code, out, err = run(capsys, "match", expr, "a")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("derivrex: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_long_literal_matches_itself(self, capsys):
+        word = "a" * 400
+        assert run(capsys, "match", word, word) == (0, "true\n", "")
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -1,0 +1,171 @@
+"""Hash-consed terms: sharing, identity, immutability, order and lifetime."""
+
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+
+import helpers
+from derivrex import (
+    EMPTY,
+    EPSILON,
+    Concat,
+    Diff,
+    Empty,
+    Epsilon,
+    Intersect,
+    Star,
+    Sym,
+    Union,
+    build_dfa,
+    canonicalize,
+    parse,
+    render,
+    term_order,
+    to_dot,
+    to_json,
+    word_regex,
+)
+from derivrex.syntax import _INTERNED
+
+A, B = Sym("a"), Sym("b")
+
+
+def nth_from_last(n):
+    return parse("(a+b)*a" + "(a+b)" * n)
+
+
+class TestInterning:
+    def test_equal_symbols_are_one_object(self):
+        assert Sym("a") is Sym("a")
+        assert Sym("a") is not Sym("b")
+        assert Empty() is EMPTY
+        assert Epsilon() is EPSILON
+
+    def test_equal_structure_built_twice_is_one_object(self):
+        def build():
+            return Union(Concat(Sym("a"), Star(Sym("b"))), Diff(EPSILON, Intersect(EMPTY, A)))
+
+        assert build() is build()
+        assert parse("a(a+b)*") is parse("a(a+b)*")
+        assert parse("a+b") is not parse("b+a")
+
+    @given(helpers.regexes())
+    def test_printing_and_pickling_give_the_term_back(self, e):
+        assert parse(render(e)) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_canonicalize_is_idempotent_by_identity(self, corpus):
+        for e in corpus:
+            c = canonicalize(e)
+            assert canonicalize(c) is c
+            assert canonicalize(e) is c
+
+    def test_long_literal_hashes_and_compares(self):
+        w = word_regex("ab" * 2500)
+        same = word_regex("ab" * 2500)
+        other = word_regex("ab" * 2499 + "aa")
+        assert hash(w) == hash(same)
+        assert len({w, same, other}) == 2
+        assert w == same and w != other
+
+    def test_terms_are_immutable(self):
+        t = Union(A, B)
+        with pytest.raises(AttributeError):
+            t.left = B
+        with pytest.raises(AttributeError):
+            t.extra = 1
+        with pytest.raises(AttributeError):
+            del t.right
+        assert (t.left, t.right) == (A, B)
+
+    def test_fields_and_match_patterns(self):
+        match parse("a*+b"):
+            case Union(Star(Sym(x)), Sym(y)):
+                assert (x, y) == ("a", "b")
+            case other:
+                pytest.fail(f"no pattern matched {other!r}")
+
+
+def test_threads_building_the_same_terms_get_one_object():
+    words = helpers.words_upto(7, "xy")
+    results = [None] * 4
+    barrier = threading.Barrier(len(results), timeout=60)
+
+    def work(i):
+        barrier.wait()
+        results[i] = [Star(Union(word_regex(w), Sym("z"))) for w in words]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to provoke races
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(a is b for other in results[1:] for a, b in zip(results[0], other))
+
+
+def test_term_order_agrees_with_structural_key(corpus):
+    terms = list(corpus) + [canonicalize(e) for e in corpus]
+    keys = [helpers.term_key(t) for t in terms]
+    for a, ka in zip(terms, keys):
+        for b, kb in zip(terms, keys):
+            assert term_order(a, b) == (ka > kb) - (ka < kb)
+
+
+def test_dropped_automata_release_their_terms():
+    # Derivative tables hang off the terms, and a star's derivative holds
+    # the star, so this also checks that the cycles are collectable.
+    gc.collect()
+    before = len(_INTERNED)
+    for n in (9, 10, 11):
+        d = build_dfa(nth_from_last(n), "ab")
+        to_json(d)
+        to_dot(d)
+    assert len(_INTERNED) > before + 2**12
+    del d
+    gc.collect()
+    assert len(_INTERNED) == before
+
+
+EXPORT_DIGEST = """
+import hashlib
+import helpers
+from derivrex import build_dfa, parse, to_dot, to_json
+terms = [parse("(a+b)*a" + "(a+b)" * 6)] + helpers.full_corpus()
+h = hashlib.sha256()
+for e in terms:
+    d = build_dfa(e, "abc")
+    h.update(to_json(d).encode())
+    h.update(to_dot(d).encode())
+print(h.hexdigest())
+"""
+
+# The digest of the same exports from the frozen-dataclass terms that
+# preceded interning; the bytes must not depend on how terms are stored.
+GOLDEN_DIGEST = "7c4f89458a809b17d6d43b78ba4ca55b03b773d19e0a43a054631b923a3f7697"
+
+
+def test_exports_do_not_depend_on_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", EXPORT_DIGEST],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert digests == {GOLDEN_DIGEST}
