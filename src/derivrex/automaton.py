@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .derivative import _deriv, nullable
-from .errors import AlphabetError, PairBudgetError, StateBudgetError
-from .syntax import Regex, Word, canonicalize, parse, render, require_symbol
+from .derivative import _deriv, classes, nullable
+from .errors import AlphabetError, AutomatonFormatError, PairBudgetError, StateBudgetError
+from .syntax import LETTERS, Regex, Word, canonicalize, parse, render, require_symbol
 
 DEFAULT_MAX_STATES = 10_000
 DEFAULT_MAX_PAIRS = 100_000
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(NamedTuple):
     """A total deterministic automaton over an ordered alphabet.
 
     ``transitions[i][j]`` is the state reached from state ``i`` on the
@@ -36,8 +34,7 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(NamedTuple):
     """Outcome of an equivalence check.
 
     When *equal* is False, *counterexample* is a shortest word on which the
@@ -115,10 +112,18 @@ def equivalent(
     nullability refutes equality, and the word that reached it is as short
     as possible (ties broken in alphabet order).  Raises PairBudgetError if
     more than *max_pairs* pairs are explored.
+
+    Over three or more letters each pair takes one derivative per pair of
+    derivative classes, not one per letter: a later letter of the same
+    classes leads to the pair an earlier one reached, which is already
+    seen.  The search order, and so the counterexample and the pair count,
+    stay those of the letter-by-letter search.  Over two letters the class
+    maps cost more than the at most one derivative per pair they save.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be positive")
     alpha = _normalize_alphabet(alphabet)
+    per_class = len(alpha) > 2
     first = (canonicalize(e), canonicalize(f))
     seen = {first}
     queue: deque[tuple[tuple[Regex, Regex], str]] = deque([(first, "")])
@@ -126,7 +131,7 @@ def equivalent(
         (p, q), word = queue.popleft()
         if nullable(p) != nullable(q):
             return EquivVerdict(False, word)
-        for a in alpha:
+        for a in _class_leaders(p, q, alpha) if per_class else alpha:
             pair = (_deriv(a, p), _deriv(a, q))
             if pair not in seen:
                 if len(seen) >= max_pairs:
@@ -134,6 +139,15 @@ def equivalent(
                 seen.add(pair)
                 queue.append((pair, word + a))
     return EquivVerdict(True, None)
+
+
+def _class_leaders(p: Regex, q: Regex, alpha: tuple[str, ...]) -> Iterable[str]:
+    # The first letter, in alphabet order, of each pair of classes.
+    cp, cq = classes(p), classes(q)
+    leaders: dict[tuple, str] = {}
+    for a in alpha:
+        leaders.setdefault((cp.get(a), cq.get(a)), a)
+    return leaders.values()
 
 
 def to_dot(d: Dfa) -> str:
@@ -172,12 +186,55 @@ def to_json(d: Dfa) -> str:
 
 
 def from_json(text: str) -> Dfa:
-    """Rebuild an automaton from its to_json document."""
-    doc = json.loads(text)
-    alphabet = tuple(doc["alphabet"])
-    states = tuple(parse(s) for s in doc["states"])
-    moves = {(t["from"], t["symbol"]): t["to"] for t in doc["transitions"]}
-    rows = tuple(
-        tuple(moves[(i, a)] for a in alphabet) for i in range(len(states))
+    """Rebuild an automaton from its to_json document.
+
+    Raises AutomatonFormatError unless *text* is a JSON object with the
+    fields to_json writes, every index names a state, every symbol is in
+    the alphabet, and there is exactly one transition per state and symbol.
+    State texts that do not parse raise ParseError.
+    """
+    try:
+        doc = json.loads(text)
+        alphabet, texts = tuple(doc["alphabet"]), tuple(doc["states"])
+        start, accepting = doc["start"], tuple(doc["accepting"])
+        moves = [(t["from"], t["symbol"], t["to"]) for t in doc["transitions"]]
+    except json.JSONDecodeError as exc:
+        raise AutomatonFormatError(f"not a JSON document: {exc}") from None
+    except KeyError as exc:
+        raise AutomatonFormatError(f"missing field {exc}") from None
+    except TypeError as exc:
+        raise AutomatonFormatError(f"malformed document: {exc}") from None
+    if not all(type(a) is str and a in LETTERS for a in alphabet):
+        raise AutomatonFormatError("the alphabet must list lowercase letters")
+    if not all(type(s) is str for s in texts):
+        raise AutomatonFormatError("states must be expression texts")
+    columns = {a: j for j, a in enumerate(alphabet)}
+    if len(columns) != len(alphabet):
+        raise AutomatonFormatError("the alphabet lists a letter twice")
+    states = tuple(map(parse, texts))
+
+    def state(value: object, what: str) -> int:
+        if type(value) is not int or not 0 <= value < len(states):
+            raise AutomatonFormatError(f"{what} {value!r} is not a state index")
+        return value
+
+    rows: list[list[int | None]] = [[None] * len(alphabet) for _ in states]
+    for source, symbol, target in moves:
+        row = rows[state(source, "from")]
+        column = columns.get(symbol) if type(symbol) is str else None
+        if column is None:
+            raise AutomatonFormatError(f"transition symbol {symbol!r} is not in the alphabet")
+        if row[column] is not None:
+            raise AutomatonFormatError(f"two transitions from {source} on {symbol!r}")
+        row[column] = state(target, "to")
+    for i, row in enumerate(rows):
+        for a, j in zip(alphabet, row):
+            if j is None:
+                raise AutomatonFormatError(f"no transition from {i} on {a!r}")
+    return Dfa(
+        states,
+        alphabet,
+        state(start, "start"),
+        frozenset(state(i, "accepting state") for i in accepting),
+        tuple(map(tuple, rows)),
     )
-    return Dfa(states, alphabet, doc["start"], frozenset(doc["accepting"]), rows)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import (
     DEFAULT_MAX_PAIRS,
@@ -31,8 +31,7 @@ from .oracle import DEFAULT_CAP, dump_words, enumerate_lang
 from .syntax import letters, parse, render, require_symbol
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(NamedTuple):
     """Settings shared by the subcommands."""
 
     alphabet: tuple[str, ...]

@@ -79,6 +79,58 @@ def _deriv(a: str, e: Regex) -> Regex:
     return d
 
 
+def classes(e: Regex) -> dict[str, int]:
+    """The derivative classes of a canonical term, as a map from letter to id.
+
+    Letters with one id have the same derivative, the very same object.  A
+    letter absent from the map has derivative 0: the syntax has no
+    complement or wildcard, so a term is blind to letters it does not
+    mention.  These are the classes of Owens, Reppy & Turon (JFP 2009,
+    section 4.2), except that all symbol operands of a union form one block
+    before the other operands refine it, so (a+b+...+z) has a single class
+    rather than 26.  The map is kept on the node.
+    """
+    m = e._classes
+    if m is None:
+        match e:
+            case Sym(ch):
+                m = {ch: 0}
+            case Star(x):
+                m = classes(x)
+            case Concat(l, r):
+                m = _meet(classes(l), classes(r)) if l._nullable else classes(l)
+            case Intersect(l, r) | Diff(l, r):
+                m = _meet(classes(l), classes(r))
+            case Union():
+                # One block for the symbol operands, refined by each distinct
+                # map of the others (operands often share one map object:
+                # ab, a* and a all keep a's).
+                m, parts, rest = {}, {}, e
+                while rest is not None:  # a canonical chain nests to the left
+                    x, rest = (rest.right, rest.left) if type(rest) is Union else (rest, None)
+                    if type(x) is Sym:
+                        m[x.ch] = 0
+                    else:
+                        part = classes(x)
+                        parts[id(part)] = part
+                for part in parts.values():
+                    m = _meet(m, part)
+            case _:
+                m = {}
+        _setslot(e, "_classes", m)
+    return m
+
+
+def _meet(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
+    # The coarsest partition refining both; absent letters count as a class.
+    if not m2 or m2 is m1:
+        return m1
+    if not m1:
+        return m2
+    ids: dict[tuple, int] = {}
+    return {c: ids.setdefault((m1.get(c), m2.get(c)), len(ids)) for c in m1 | m2}
+
+
 def deriv_word(w: Word, e: Regex) -> Regex:
     """Fold deriv_sym over *w*, first symbol first; D_"" is canonicalization."""
     node = canonicalize(e)

@@ -17,6 +17,10 @@ class AlphabetError(DerivrexError):
     """A symbol fell outside the alphabet in force."""
 
 
+class AutomatonFormatError(DerivrexError):
+    """A document given to from_json does not describe a total automaton."""
+
+
 class EmptyWordError(DerivrexError):
     """An operation defined only for nonempty words was given the empty word."""
 

@@ -7,7 +7,7 @@ slices serve as a second opinion when testing the engine proper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EnumerationBudgetError, QuotientBoundError
 from .syntax import (
@@ -26,8 +26,7 @@ from .syntax import (
 DEFAULT_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class LangSample:
+class LangSample(NamedTuple):
     """Every word of some language whose length is at most *bound*."""
 
     bound: int

@@ -46,12 +46,14 @@ class Regex:
     Terms are hash-consed: building a term structurally equal to a live one
     returns that very object, so equality and hashing are by identity and
     cost O(1) whatever the size of the term.  Every node keeps its own memos
-    (sort key, nullability, canonical form, derivatives, printed text),
-    which are freed together with the last reference to the node.  Terms
-    are immutable: setting an attribute raises AttributeError.
+    (sort key, nullability, canonical form, derivatives, derivative classes,
+    printed text), which are freed together with the last reference to the
+    node.  Terms are immutable: setting an attribute raises AttributeError.
     """
 
-    __slots__ = ("_key", "_nullable", "_canon", "_derivs", "_text", "__weakref__")
+    __slots__ = (
+        "_key", "_nullable", "_canon", "_derivs", "_classes", "_text", "__weakref__"
+    )
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -92,6 +94,7 @@ def _intern(cls: type, key: tuple, order: tuple, nullable: bool, *fields) -> Reg
             _setslot(node, "_nullable", nullable)
             _setslot(node, "_canon", None)
             _setslot(node, "_derivs", None)
+            _setslot(node, "_classes", None)
             _setslot(node, "_text", None)
             _INTERNED[key] = node
     return node
@@ -199,15 +202,22 @@ def require_symbol(ch: str) -> None:
 
 def letters(e: Regex) -> frozenset[str]:
     """The set of symbols occurring in a term."""
-    match e:
-        case Sym(ch):
-            return frozenset(ch)
-        case Union(l, r) | Concat(l, r) | Intersect(l, r) | Diff(l, r):
-            return letters(l) | letters(r)
-        case Star(x):
-            return letters(x)
-        case _:
-            return frozenset()
+    found: set[str] = set()
+    seen: set[Regex] = set()
+    stack = [e]
+    while stack:  # a stack, not recursion: parsed chains can be long
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        match node:
+            case Sym(ch):
+                found.add(ch)
+            case Star(x):
+                stack.append(x)
+            case _Binary(l, r):
+                stack += (l, r)
+    return frozenset(found)
 
 
 def word_regex(w: Word) -> Regex:
@@ -418,6 +428,18 @@ def _operands(e: Regex, cls: type) -> list[Regex]:
     return out
 
 
+def _flat(cls: type, terms: Iterable[Regex]) -> set[Regex]:
+    # The operands of canonical terms joined by cls: a cls chain adds its
+    # operands, anything else adds itself.
+    args: set[Regex] = set()
+    for t in terms:
+        if type(t) is cls:
+            args.update(_operands(t, cls))
+        else:
+            args.add(t)
+    return args
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms
 #
@@ -428,10 +450,9 @@ def _operands(e: Regex, cls: type) -> list[Regex]:
 # to the equivalence checker.
 
 
-def union(left: Regex, right: Regex) -> Regex:
-    """Canonical union: flatten, drop 0, sort, deduplicate."""
-    args = set(_operands(left, Union))
-    args.update(_operands(right, Union))
+def union(*terms: Regex) -> Regex:
+    """Canonical union: flatten, drop 0, sort, deduplicate.  union() is 0."""
+    args = _flat(Union, terms)
     args.discard(EMPTY)
     return _chain(Union, args) if args else EMPTY
 
@@ -461,10 +482,9 @@ def star(inner: Regex) -> Regex:
     return Star(inner)
 
 
-def intersect(left: Regex, right: Regex) -> Regex:
+def intersect(first: Regex, *rest: Regex) -> Regex:
     """Canonical intersection: flatten, sort, deduplicate, absorb 0."""
-    args = set(_operands(left, Intersect))
-    args.update(_operands(right, Intersect))
+    args = _flat(Intersect, (first, *rest))
     return EMPTY if EMPTY in args else _chain(Intersect, args)
 
 
@@ -489,14 +509,14 @@ def canonicalize(e: Regex) -> Regex:
         return e
     if c is None:
         match e:
-            case Union(l, r):
-                c = union(canonicalize(l), canonicalize(r))
+            case Union():  # the whole chain at once, not pairwise
+                c = union(*map(canonicalize, _operands(e, Union)))
             case Concat(l, r):
                 c = concat(canonicalize(l), canonicalize(r))
             case Star(x):
                 c = star(canonicalize(x))
-            case Intersect(l, r):
-                c = intersect(canonicalize(l), canonicalize(r))
+            case Intersect():
+                c = intersect(*map(canonicalize, _operands(e, Intersect)))
             case Diff(l, r):
                 c = diff(canonicalize(l), canonicalize(r))
             case _:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -12,10 +13,15 @@ from derivrex import (
     Diff,
     Empty,
     Epsilon,
+    EquivVerdict,
     Intersect,
+    PairBudgetError,
     Star,
     Sym,
     Union,
+    canonicalize,
+    deriv_sym,
+    nullable,
     parse,
 )
 
@@ -110,3 +116,29 @@ def term_key(e):
             return (7, term_key(l), term_key(r))
         case _:
             raise TypeError(f"not a regex term: {e!r}")
+
+
+def reference_equivalent(e, f, alphabet, max_pairs):
+    """The letter-by-letter pair search, as a reference for equivalent.
+
+    Breadth-first over pairs of derivatives, one derivative of each side
+    per letter, letters in the caller's order: the first pair with
+    differing nullability gives a shortest counterexample, and more than
+    *max_pairs* pairs raise PairBudgetError.
+    """
+    alpha = tuple(dict.fromkeys(alphabet))
+    first = (canonicalize(e), canonicalize(f))
+    seen = {first}
+    queue = deque([(first, "")])
+    while queue:
+        (p, q), word = queue.popleft()
+        if nullable(p) != nullable(q):
+            return EquivVerdict(False, word)
+        for a in alpha:
+            pair = (deriv_sym(a, p), deriv_sym(a, q))
+            if pair not in seen:
+                if len(seen) >= max_pairs:
+                    raise PairBudgetError(len(seen) + 1, max_pairs)
+                seen.add(pair)
+                queue.append((pair, word + a))
+    return EquivVerdict(True, None)

@@ -1,10 +1,14 @@
 """DFA construction, equivalence verdicts, and the two export formats."""
 
+import json
+
 import pytest
 
 import helpers
 from derivrex import (
     AlphabetError,
+    AutomatonFormatError,
+    EquivVerdict,
     StateBudgetError,
     PairBudgetError,
     build_dfa,
@@ -168,3 +172,51 @@ class TestExports:
         two = build_dfa(parse("a(a+b)*"), "ab")
         assert to_dot(one) == to_dot(two)
         assert to_json(one) == to_json(two)
+
+
+def _broken(change):
+    doc = json.loads(to_json(build_dfa(parse("a(a+b)*"), "ab")))
+    change(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    def change(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+class TestFromJsonErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"alphabet": ["a"]', id="bad-json"),
+            pytest.param("[1, 2]", id="not-an-object"),
+            pytest.param(_broken(lambda doc: doc.pop("start")), id="missing-start"),
+            pytest.param(_broken(lambda doc: doc["transitions"][0].pop("to")), id="missing-to"),
+            pytest.param(_broken(_set(["start"], 3)), id="start-out-of-range"),
+            pytest.param(_broken(_set(["transitions", 0, "from"], -1)), id="from-out-of-range"),
+            pytest.param(_broken(_set(["transitions", 0, "to"], 3)), id="to-out-of-range"),
+            pytest.param(_broken(_set(["accepting"], [1, 7])), id="accepting-out-of-range"),
+            pytest.param(_broken(_set(["transitions", 0, "symbol"], "c")), id="symbol-outside-alphabet"),
+            pytest.param(_broken(lambda doc: doc["transitions"].pop()), id="not-total"),
+            pytest.param(_broken(_set(["transitions", 1, "symbol"], "a")), id="two-moves-one-symbol"),
+        ],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(AutomatonFormatError):
+            from_json(text)
+
+
+def test_records_keep_their_repr_and_are_immutable():
+    v = EquivVerdict(True)
+    assert repr(v) == "EquivVerdict(equal=True, counterexample=None)"
+    d = build_dfa(parse("a"), "a")
+    assert repr(d).startswith("Dfa(states=(<regex a>, <regex 1>, <regex 0>), alphabet=('a',)")
+    with pytest.raises(AttributeError):
+        v.equal = False
+    with pytest.raises(AttributeError):
+        d.start = 1

@@ -1,8 +1,13 @@
 """Exit codes, output bytes, and error reporting of the command line."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from derivrex.cli import main
+from derivrex.cli import SessionConfig, main
 
 GOLDEN_EMPTY_JSON = (
     '{"alphabet":["a","b"],"states":["0"],"start":0,"accepting":[],'
@@ -147,6 +152,30 @@ class TestBackstop:
     def test_long_literal_matches_itself(self, capsys):
         word = "a" * 400
         assert run(capsys, "match", word, word) == (0, "true\n", "")
+
+    def test_wide_union_matches_without_alphabet(self, capsys):
+        expr = "+".join("ab"[i % 2] for i in range(3000))
+        assert run(capsys, "match", expr, "a") == (0, "true\n", "")
+
+
+def test_import_leaves_dataclasses_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, derivrex.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
+
+
+def test_session_config_is_an_immutable_record():
+    config = SessionConfig(("a",))
+    assert repr(config) == (
+        "SessionConfig(alphabet=('a',), max_states=10000, max_pairs=100000, "
+        "enum_cap=1000000, output_format='text')"
+    )
+    with pytest.raises(AttributeError):
+        config.max_pairs = 1
 
 
 def test_unknown_command_exits_two(capsys):

@@ -18,6 +18,7 @@ from derivrex import (
     canonicalize,
     lang_equal_upto,
     letters,
+    matches,
     parse,
     render,
     term_order,
@@ -25,6 +26,10 @@ from derivrex import (
 )
 
 A, B, C = Sym("a"), Sym("b"), Sym("c")
+
+# A parsed chain of 3,000 operands, far deeper than the interpreter's
+# recursion limit.
+WIDE_UNION = "+".join("ab"[i % 2] for i in range(3000))
 
 
 class TestParse:
@@ -180,3 +185,15 @@ class TestWordHelpers:
     def test_letters(self):
         assert letters(parse("a(b+c)*")) == frozenset("abc")
         assert letters(EMPTY) == frozenset()
+
+
+class TestWideChains:
+    def test_wide_union_canonicalizes_and_matches(self):
+        e = parse(WIDE_UNION)
+        assert canonicalize(e) is Union(A, B)
+        assert matches(e, "a")
+        assert letters(e) == frozenset("ab")
+
+    def test_wide_intersection_canonicalizes(self):
+        e = parse("&".join("ab"[i % 2] + "*" for i in range(3000)))
+        assert canonicalize(e) is Intersect(Star(A), Star(B))
