@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .derivative import _deriv, classes, nullable
 from .errors import AlphabetError, AutomatonFormatError, PairBudgetError, StateBudgetError
@@ -62,6 +62,12 @@ def build_dfa(
     States are discovered breadth-first, symbols in alphabet order, so the
     construction is deterministic.  Raises StateBudgetError if more than
     *max_states* states turn up.
+
+    Over three or more letters each state takes one derivative per
+    derivative class, and the other letters of a class copy the column of
+    its first letter: they reach a state already found, so the numbering
+    and the point where the budget runs out stay those of the
+    letter-by-letter loop.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
@@ -72,9 +78,14 @@ def build_dfa(
     rows = []
     pos = 0
     while pos < len(states):
+        state = states[pos]
+        leaders = _class_leaders(alpha, state)
         row = []
-        for a in alpha:
-            target = _deriv(a, states[pos])
+        for j, a in enumerate(alpha):
+            if leaders[j] < j:
+                row.append(row[leaders[j]])
+                continue
+            target = _deriv(a, state)
             where = index.get(target)
             if where is None:
                 if len(states) >= max_states:
@@ -123,7 +134,6 @@ def equivalent(
     if max_pairs < 1:
         raise ValueError("max_pairs must be positive")
     alpha = _normalize_alphabet(alphabet)
-    per_class = len(alpha) > 2
     first = (canonicalize(e), canonicalize(f))
     seen = {first}
     queue: deque[tuple[tuple[Regex, Regex], str]] = deque([(first, "")])
@@ -131,7 +141,10 @@ def equivalent(
         (p, q), word = queue.popleft()
         if nullable(p) != nullable(q):
             return EquivVerdict(False, word)
-        for a in _class_leaders(p, q, alpha) if per_class else alpha:
+        leaders = _class_leaders(alpha, p, q)
+        for j, a in enumerate(alpha):
+            if leaders[j] < j:
+                continue
             pair = (_deriv(a, p), _deriv(a, q))
             if pair not in seen:
                 if len(seen) >= max_pairs:
@@ -141,13 +154,16 @@ def equivalent(
     return EquivVerdict(True, None)
 
 
-def _class_leaders(p: Regex, q: Regex, alpha: tuple[str, ...]) -> Iterable[str]:
-    # The first letter, in alphabet order, of each pair of classes.
-    cp, cq = classes(p), classes(q)
-    leaders: dict[tuple, str] = {}
-    for a in alpha:
-        leaders.setdefault((cp.get(a), cq.get(a)), a)
-    return leaders.values()
+def _class_leaders(alpha: tuple[str, ...], p: Regex, q: Regex | None = None) -> Sequence[int]:
+    # For each letter, the position in alpha of the first letter in the same
+    # class of p (and of q): a letter leads its class when that is itself.
+    # Over two letters the class maps cost more than the at most one
+    # derivative they save, so there every letter leads.
+    if len(alpha) < 3:
+        return range(len(alpha))
+    cp, cq = classes(p), {} if q is None else classes(q)
+    first: dict[tuple, int] = {}
+    return [first.setdefault((cp.get(a), cq.get(a)), j) for j, a in enumerate(alpha)]
 
 
 def to_dot(d: Dfa) -> str:

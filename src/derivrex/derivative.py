@@ -50,7 +50,8 @@ def deriv_sym(a: str, e: Regex) -> Regex:
 
 def _deriv(a: str, e: Regex) -> Regex:
     # e is canonical, so every subterm is canonical and the builders keep
-    # the result canonical.  Results are kept on e, one per symbol.
+    # the result canonical.  Results are kept on e, one per symbol.  Callers
+    # check a first: deriv_word takes every key it finds as a valid symbol.
     memo = e._derivs
     if memo is None:
         memo = {}
@@ -63,7 +64,22 @@ def _deriv(a: str, e: Regex) -> Regex:
             case Sym(ch):
                 d = EPSILON if ch == a else EMPTY
             case Union(l, r):
-                d = union(_deriv(a, l), _deriv(a, r))
+                # A chain nests to the left and can be thousands long, so
+                # derive its prefixes not yet derived by a deepest first:
+                # each then finds the derivative of its left operand kept.
+                spine, node = [], l
+                while type(node) is Union and a not in (node._derivs or ()):
+                    spine.append(node)
+                    node = node.left
+                for node in reversed(spine):
+                    _deriv(a, node)
+                # A canonical term is its own union with 0, so skip the
+                # rebuild, which costs as much as the chain is long.
+                d, dr = _deriv(a, l), _deriv(a, r)
+                if d is EMPTY:
+                    d = dr
+                elif dr is not EMPTY:
+                    d = union(d, dr)
             case Concat(l, r):
                 # The second summand, delta(l) D_a(r), is 0 unless l is nullable.
                 d = concat(_deriv(a, l), r)
@@ -132,16 +148,33 @@ def _meet(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
 
 
 def deriv_word(w: Word, e: Regex) -> Regex:
-    """Fold deriv_sym over *w*, first symbol first; D_"" is canonicalization."""
+    """Fold deriv_sym over *w*, first symbol first; D_"" is canonicalization.
+
+    The derivative tables kept on the nodes are the transitions of a lazily
+    built DFA whose states are canonical terms, so each symbol is first
+    looked up in the current node's table, one dict lookup once warm.  A
+    miss checks the symbol and computes the derivative, which fills the
+    table in.  Only checked symbols ever become keys (every caller of
+    _deriv checks its symbols first), so a hit proves the symbol valid and
+    a bad symbol raises the same AlphabetError whether the table is warm or
+    cold.
+    """
     node = canonicalize(e)
     for ch in w:
-        require_symbol(ch)
-        node = _deriv(ch, node)
+        try:
+            node = node._derivs[ch]
+        except (KeyError, TypeError):  # not computed yet, or no table yet
+            require_symbol(ch)
+            node = _deriv(ch, node)
     return node
 
 
 def matches(e: Regex, w: Word) -> bool:
-    """Word membership: derive by the whole word, then test nullability."""
+    """Word membership: derive by the whole word, then test nullability.
+
+    deriv_word walks the derivative tables as a lazy DFA, so a warm term
+    costs one dict lookup per symbol.
+    """
     return nullable(deriv_word(w, e))
 
 

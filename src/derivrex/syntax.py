@@ -353,7 +353,8 @@ def render(e: Regex) -> str:
 
 def _body(e: Regex) -> str:
     # The text without enclosing parentheses, kept on the node.  One frame
-    # per level of nesting, as _wrap does not recurse.
+    # per level of nesting (_wrap does not recurse), but none per operand
+    # of a union chain.
     text = e._text
     if text is None:
         match e:
@@ -372,6 +373,15 @@ def _body(e: Regex) -> str:
             case Diff(l, r):
                 text = _wrap(l, _body(l), _DIFF_PREC) + "-" + _wrap(r, _body(r), _INTER_PREC)
             case Union(l, r):
+                # A chain nests to the left and can be thousands long, so
+                # print its unprinted prefixes deepest first: each then
+                # finds the text of its left operand already kept.
+                spine, node = [], l
+                while type(node) is Union and node._text is None:
+                    spine.append(node)
+                    node = node.left
+                for node in reversed(spine):
+                    _body(node)
                 text = _wrap(l, _body(l), _UNION_PREC) + "+" + _wrap(r, _body(r), _DIFF_PREC)
         _setslot(e, "_text", text)
     return text

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import string
 from collections import deque
 
 from hypothesis import strategies as st
@@ -10,12 +11,14 @@ from derivrex import (
     EMPTY,
     EPSILON,
     Concat,
+    Dfa,
     Diff,
     Empty,
     Epsilon,
     EquivVerdict,
     Intersect,
     PairBudgetError,
+    StateBudgetError,
     Star,
     Sym,
     Union,
@@ -73,6 +76,17 @@ def words_upto(k, alphabet="ab"):
     for n in range(1, k + 1):
         words.extend("".join(p) for p in itertools.product(alphabet, repeat=n))
     return words
+
+
+def word_union_text(count=3000):
+    """A union of *count* distinct 3-letter words, abc among them and zzz not.
+
+    Parsed, it is a chain far deeper than the interpreter's recursion limit.
+    Every fifth word in alphabetical order, so each first letter leads only
+    a few of them.
+    """
+    words = ["".join(p) for p in itertools.product(string.ascii_lowercase, repeat=3)]
+    return "+".join(words[3::5][:count])
 
 
 def regexes(alphabet="ab", max_leaves=8):
@@ -142,3 +156,34 @@ def reference_equivalent(e, f, alphabet, max_pairs):
                 seen.add(pair)
                 queue.append((pair, word + a))
     return EquivVerdict(True, None)
+
+
+def reference_build_dfa(e, alphabet, max_states):
+    """The letter-by-letter derivative closure, as a reference for build_dfa.
+
+    States are found breadth-first, one derivative per state and letter,
+    letters in the caller's order; more than *max_states* states raise
+    StateBudgetError.
+    """
+    alpha = tuple(dict.fromkeys(alphabet))
+    start = canonicalize(e)
+    index = {start: 0}
+    states = [start]
+    rows = []
+    pos = 0
+    while pos < len(states):
+        row = []
+        for a in alpha:
+            target = deriv_sym(a, states[pos])
+            where = index.get(target)
+            if where is None:
+                if len(states) >= max_states:
+                    raise StateBudgetError(len(states) + 1, max_states)
+                where = len(states)
+                index[target] = where
+                states.append(target)
+            row.append(where)
+        rows.append(tuple(row))
+        pos += 1
+    accepting = frozenset(i for i, t in enumerate(states) if nullable(t))
+    return Dfa(tuple(states), alpha, 0, accepting, tuple(rows))

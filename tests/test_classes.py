@@ -1,15 +1,32 @@
-"""Derivative classes, and the pair search that takes one derivative per class."""
+"""Derivative classes, and the searches that take one derivative per class."""
 
+import hashlib
 import string
 
 import pytest
 from hypothesis import given
 
 import helpers
-from derivrex import EMPTY, PairBudgetError, canonicalize, deriv_sym, equivalent, parse
+from derivrex import (
+    EMPTY,
+    PairBudgetError,
+    StateBudgetError,
+    build_dfa,
+    canonicalize,
+    deriv_sym,
+    equivalent,
+    parse,
+    to_dot,
+    to_json,
+)
 from derivrex.derivative import classes
 
 SIGMA = string.ascii_lowercase
+
+# sha256 over to_json and to_dot of the builds in
+# test_exports_match_the_letter_by_letter_digest, taken from the
+# letter-by-letter build_dfa that preceded derivative classes there.
+EXPORT_DIGEST_26 = "832b46aae89d218dab67654798a75cf4340ad598517f1fd0f22613ff7641a1d4"
 
 
 def outcome(check, e, f, alphabet, budget):
@@ -28,6 +45,27 @@ def assert_same_search(e, f, alphabet):
         want = outcome(helpers.reference_equivalent, e, f, alphabet, budget)
         assert outcome(equivalent, e, f, alphabet, budget) == want, (e, f, alphabet, budget)
         if want[0] == "verdict":
+            return want
+        budget += 1
+
+
+def dfa_outcome(build, e, alphabet, budget):
+    try:
+        d = build(e, alphabet, budget)
+    except StateBudgetError as err:
+        return ("budget", err.discovered, err.max_states)
+    # Terms compare by identity, so equal state tuples hold the same objects.
+    return ("dfa", d.states, d.alphabet, d.start, d.accepting, d.transitions)
+
+
+def assert_same_closure(e, alphabet):
+    # The same automaton, and the budget error at the same budgets, from a
+    # budget of 1 up to the first one the closure fits in.
+    budget = 1
+    while True:
+        want = dfa_outcome(helpers.reference_build_dfa, e, alphabet, budget)
+        assert dfa_outcome(build_dfa, e, alphabet, budget) == want, (e, alphabet, budget)
+        if want[0] == "dfa":
             return want
         budget += 1
 
@@ -58,6 +96,29 @@ class TestAgreesWithLetterByLetterSearch:
         plus_z = parse(nth(n) + "+" + "z" * (n + 1))
         assert assert_same_search(left, reshaped, alphabet) == ("verdict", True, None)
         assert assert_same_search(left, plus_z, alphabet) == ("verdict", False, "z" * (n + 1))
+
+
+class TestBuildDfaAgreesWithLetterByLetterLoop:
+    @pytest.mark.parametrize("alphabet", ["abc", "abcz", "zcba"])
+    def test_corpus(self, corpus, alphabet):
+        for e in corpus:
+            assert_same_closure(e, alphabet)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alphabet", [SIGMA, SIGMA[::-1]])
+    def test_nth_from_last_over_26_letters(self, n, alphabet):
+        d = assert_same_closure(parse(nth(n)), alphabet)
+        assert len(d[1]) == 2 ** (n + 1)
+
+    def test_exports_match_the_letter_by_letter_digest(self, corpus):
+        jobs = [(parse(nth(n)), SIGMA) for n in (1, 2, 3, 4)]
+        jobs += [(e, alphabet) for alphabet in ("abcz", "zcba") for e in corpus]
+        h = hashlib.sha256()
+        for e, alphabet in jobs:
+            d = build_dfa(e, alphabet)
+            h.update(to_json(d).encode())
+            h.update(to_dot(d).encode())
+        assert h.hexdigest() == EXPORT_DIGEST_26
 
 
 class TestClasses:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from derivrex.cli import SessionConfig, main
 
 GOLDEN_EMPTY_JSON = (
@@ -156,6 +157,9 @@ class TestBackstop:
     def test_wide_union_matches_without_alphabet(self, capsys):
         expr = "+".join("ab"[i % 2] for i in range(3000))
         assert run(capsys, "match", expr, "a") == (0, "true\n", "")
+
+    def test_wide_union_of_distinct_words_matches(self, capsys):
+        assert run(capsys, "match", helpers.word_union_text(), "abc") == (0, "true\n", "")
 
 
 def test_import_leaves_dataclasses_out():

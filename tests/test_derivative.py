@@ -7,6 +7,7 @@ import helpers
 from derivrex import (
     EMPTY,
     EPSILON,
+    AlphabetError,
     Concat,
     Diff,
     EmptyWordError,
@@ -102,7 +103,20 @@ class TestDerivSym:
 class TestDerivWord:
     def test_empty_word_just_canonicalizes(self):
         e = parse("a+a+0")
-        assert deriv_word("", e) == canonicalize(e)
+        assert deriv_word("", e) is canonicalize(e)
+
+    def test_bad_symbol_raises_on_warm_and_cold_tables(self):
+        # A symbol found in a derivative table is known to be valid, so a
+        # warm walk must still stop at the bad symbol.
+        warm = parse("(a+b)*a")
+        assert not matches(warm, "abab")
+        cold = [parse("(a+b)*a(a+b)(b+a)"), parse("(a+b)*a(b+a)(a+b)")]
+        assert all(canonicalize(e)._derivs is None for e in cold)
+        for e, f in ((warm, warm), cold):
+            with pytest.raises(AlphabetError, match="'X' is not"):
+                matches(e, "abXb")
+            with pytest.raises(AlphabetError, match="'A' is not"):
+                deriv_word("abA", f)
 
     def test_word_steps_first_symbol_first(self):
         assert render(deriv_word("aba", parse("(a+b)ab"))) == "0"

@@ -1,4 +1,7 @@
-"""The brute-force enumerator that second-guesses the engine."""
+"""The independent semantics that second-guess the engine: the brute-force
+enumerator, and stdlib re on the fragment it shares with derivrex."""
+
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,14 +11,33 @@ from derivrex import (
     EnumerationBudgetError,
     LangSample,
     QuotientBoundError,
+    build_dfa,
+    dfa_accepts,
     deriv_sym,
     deriv_word,
     dump_words,
     enumerate_lang,
     lang_equal_upto,
+    matches,
     parse,
     quotient,
 )
+
+
+def _re_fragment():
+    # Pairs of a derivrex text and a stdlib re pattern for the same
+    # language, built side by side over 0 1 + concatenation and star, so
+    # the pattern owes nothing to derivrex's terms.
+    leaves = st.sampled_from([("0", "(?!)"), ("1", "(?:)"), ("a", "a"), ("b", "b")])
+
+    def compound(children):
+        return st.one_of(
+            st.builds(lambda l, r: (f"({l[0]}+{r[0]})", f"(?:{l[1]}|{r[1]})"), children, children),
+            st.builds(lambda l, r: (f"({l[0]})({r[0]})", f"(?:{l[1]})(?:{r[1]})"), children, children),
+            st.builds(lambda x: (f"({x[0]})*", f"(?:{x[1]})*"), children),
+        )
+
+    return st.recursive(leaves, compound, max_leaves=8)
 
 
 class TestEnumerate:
@@ -50,6 +72,20 @@ class TestEnumerate:
         large = enumerate_lang(e, k + 1).words
         assert small <= large
         assert small == {w for w in large if len(w) <= k}
+
+
+class TestAgreesWithStdlibRe:
+    @given(_re_fragment(), st.lists(st.text(alphabet="ab", max_size=8), min_size=1, max_size=6))
+    def test_membership(self, pair, words):
+        text, pattern = pair
+        want = [re.fullmatch(pattern, w) is not None for w in words]
+        e = parse(text)
+        # The first pass fills in the derivative tables of the freshly
+        # parsed term, the second walks them warm.
+        assert [matches(e, w) for w in words] == want
+        assert [matches(e, w) for w in words] == want
+        d = build_dfa(e, "ab")
+        assert [dfa_accepts(d, w) for w in words] == want
 
 
 class TestQuotient:

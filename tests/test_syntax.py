@@ -194,6 +194,13 @@ class TestWideChains:
         assert matches(e, "a")
         assert letters(e) == frozenset("ab")
 
+    def test_wide_union_of_distinct_words_matches_and_prints(self):
+        e = parse(helpers.word_union_text())
+        assert matches(e, "abc")
+        assert not matches(e, "zzz")
+        for t in (e, canonicalize(e)):
+            assert parse(render(t)) is t
+
     def test_wide_intersection_canonicalizes(self):
         e = parse("&".join("ab"[i % 2] + "*" for i in range(3000)))
         assert canonicalize(e) is Intersect(Star(A), Star(B))

@@ -3,6 +3,7 @@
 import gc
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -25,6 +26,7 @@ from derivrex import (
     Union,
     build_dfa,
     canonicalize,
+    matches,
     parse,
     render,
     term_order,
@@ -135,6 +137,20 @@ def test_dropped_automata_release_their_terms():
         to_dot(d)
     assert len(_INTERNED) > before + 2**12
     del d
+    gc.collect()
+    assert len(_INTERNED) == before
+
+
+def test_matching_keeps_no_state_once_the_terms_go():
+    # The lazy DFA that matches walks is the terms' own derivative tables.
+    gc.collect()
+    before = len(_INTERNED)
+    rng = random.Random(5)
+    e = nth_from_last(8)
+    for _ in range(3):
+        matches(e, "".join(rng.choices("ab", k=20_000)))
+    assert len(_INTERNED) > before + 2**8
+    del e
     gc.collect()
     assert len(_INTERNED) == before
 
