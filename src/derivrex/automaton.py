@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .derivative import _deriv, classes, nullable
 from .errors import AlphabetError, AutomatonFormatError, PairBudgetError, StateBudgetError
-from .syntax import LETTERS, Regex, Word, canonicalize, parse, render, require_symbol
+from .syntax import LETTERS, Regex, Word, _alphabet, canonicalize, parse, render
 
 DEFAULT_MAX_STATES = 10_000
 DEFAULT_MAX_PAIRS = 100_000
@@ -45,13 +45,6 @@ class EquivVerdict(NamedTuple):
     counterexample: str | None = None
 
 
-def _normalize_alphabet(alphabet: Iterable[str]) -> tuple[str, ...]:
-    symbols = tuple(dict.fromkeys(alphabet))
-    for ch in symbols:
-        require_symbol(ch)
-    return symbols
-
-
 def build_dfa(
     e: Regex,
     alphabet: Iterable[str],
@@ -71,7 +64,7 @@ def build_dfa(
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
-    alpha = _normalize_alphabet(alphabet)
+    alpha = _alphabet(alphabet)
     start = canonicalize(e)
     index = {start: 0}
     states = [start]
@@ -133,7 +126,7 @@ def equivalent(
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be positive")
-    alpha = _normalize_alphabet(alphabet)
+    alpha = _alphabet(alphabet)
     first = (canonicalize(e), canonicalize(f))
     seen = {first}
     queue: deque[tuple[tuple[Regex, Regex], str]] = deque([(first, "")])

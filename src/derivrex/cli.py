@@ -15,31 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import NamedTuple
 
 from .automaton import (
-    DEFAULT_MAX_PAIRS,
-    DEFAULT_MAX_STATES,
-    build_dfa,
-    equivalent,
-    to_dot,
-    to_json,
+    DEFAULT_MAX_PAIRS, DEFAULT_MAX_STATES, build_dfa, equivalent, to_dot, to_json
 )
-from .derivative import deriv_word, matches, nullable
+from .derivative import deriv_word, nullable
 from .errors import AlphabetError, DerivrexError
 from .oracle import DEFAULT_CAP, dump_words, enumerate_lang
-from .syntax import letters, parse, render, require_symbol
-
-
-class SessionConfig(NamedTuple):
-    """Settings shared by the subcommands."""
-
-    alphabet: tuple[str, ...]
-    max_states: int = DEFAULT_MAX_STATES
-    max_pairs: int = DEFAULT_MAX_PAIRS
-    enum_cap: int = DEFAULT_CAP
-    output_format: str = "text"
-
+from .syntax import _alphabet, letters, parse, render
 
 # The identity suite: classic equational facts about regular expressions,
 # each given as a chain of expressions expected to denote one language, and
@@ -74,36 +57,34 @@ NON_IDENTITIES: tuple[tuple[str, str], ...] = (
 COMMUTING_PAIR = ("a(aa)", "(aa)a")
 
 
-def cmd_derive(expr: str, word: str, config: SessionConfig) -> int:
-    e = parse(expr, config.alphabet)
-    _check_word(word, config.alphabet)
-    d = deriv_word(word, e)
+# Each handler takes the parsed arguments and the alphabet that main worked
+# out, and returns the exit status.
+
+
+def cmd_derive(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
+    d = _derivative(args, alpha)
     print(render(d))
     print(f"nullable={'true' if nullable(d) else 'false'}")
     return 0
 
 
-def cmd_match(expr: str, word: str, config: SessionConfig) -> int:
-    e = parse(expr, config.alphabet)
-    _check_word(word, config.alphabet)
-    accepted = matches(e, word)
+def cmd_match(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
+    accepted = nullable(_derivative(args, alpha))
     print("true" if accepted else "false")
     return 0 if accepted else 1
 
 
-def cmd_dfa(expr: str, config: SessionConfig) -> int:
-    _require_alphabet(config)
-    e = parse(expr, config.alphabet)
-    d = build_dfa(e, config.alphabet, config.max_states)
-    print(to_json(d) if config.output_format == "json" else to_dot(d))
+def cmd_dfa(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
+    e = parse(args.expr, _nonempty(alpha))
+    d = build_dfa(e, alpha, args.max_states)
+    print(to_json(d) if args.format == "json" else to_dot(d))
     return 0
 
 
-def cmd_equiv(expr1: str, expr2: str, config: SessionConfig) -> int:
-    _require_alphabet(config)
-    e = parse(expr1, config.alphabet)
-    f = parse(expr2, config.alphabet)
-    verdict = equivalent(e, f, config.alphabet, config.max_pairs)
+def cmd_equiv(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
+    e = parse(args.expr1, _nonempty(alpha))
+    f = parse(args.expr2, alpha)
+    verdict = equivalent(e, f, alpha, args.max_pairs)
     if verdict.equal:
         print("equal")
         return 0
@@ -112,233 +93,141 @@ def cmd_equiv(expr1: str, expr2: str, config: SessionConfig) -> int:
     return 1
 
 
-def cmd_enum(expr: str, k: int, config: SessionConfig) -> int:
-    e = parse(expr, config.alphabet)
-    sys.stdout.write(dump_words(enumerate_lang(e, k, config.enum_cap)))
+def cmd_enum(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
+    e = parse(args.expr, alpha)
+    sys.stdout.write(dump_words(enumerate_lang(e, args.bound, args.enum_cap)))
     return 0
 
 
-def cmd_check_identities(config: SessionConfig) -> int:
+def cmd_check_identities(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
     """Verify the built-in suite; exit 0 only if every line comes out as expected."""
-    failed = 0
-    total = 0
+    results: list[bool] = []
 
     def line(text: str, ok: bool) -> None:
-        nonlocal failed, total
-        total += 1
-        if not ok:
-            failed += 1
+        results.append(ok)
         print(text)
 
+    def verdict(lhs: str, rhs: str):
+        # Each suite line runs over its own letters unless an alphabet is declared.
+        pair_alpha = alpha or _inferred_alphabet((lhs, rhs))
+        e, f = parse(lhs, pair_alpha), parse(rhs, pair_alpha)
+        return equivalent(e, f, pair_alpha, args.max_pairs)
+
     for n, chain in enumerate(IDENTITIES, start=1):
-        ok, witness = _chain_equal(chain, config)
         label = f"identity {n:02d}: {' = '.join(chain)}"
-        if ok:
+        refuted = next((v for v in map(verdict, chain, chain[1:]) if not v.equal), None)
+        if refuted is None:
             line(f"{label} ... pass", True)
         else:
-            line(f"{label} ... FAIL (counterexample \"{witness}\")", False)
+            line(f"{label} ... FAIL (counterexample \"{refuted.counterexample}\")", False)
 
     for n, (lhs, rhs) in enumerate(NON_IDENTITIES, start=1):
-        verdict = _equiv_line((lhs, rhs), config)
         label = f"non-identity {n}: {lhs} vs {rhs}"
-        if verdict.equal:
+        v = verdict(lhs, rhs)
+        if v.equal:
             line(f"{label} ... FAIL (reported equal)", False)
         else:
-            line(
-                f"{label} ... unequal as expected "
-                f"(counterexample \"{verdict.counterexample}\")",
-                True,
-            )
+            line(f"{label} ... unequal as expected (counterexample \"{v.counterexample}\")", True)
 
     lhs, rhs = COMMUTING_PAIR
-    verdict = _equiv_line(COMMUTING_PAIR, config)
-    if verdict.equal:
+    if verdict(lhs, rhs).equal:
         line(f"note: {lhs} = {rhs} ... equal (distinct factors can still commute)", True)
     else:
         line(f"note: {lhs} vs {rhs} ... FAIL (expected these to be equal)", False)
 
-    print(f"check-identities: {total - failed}/{total} checks passed")
-    return 0 if failed == 0 else 1
-
-
-def _chain_equal(chain: tuple[str, ...], config: SessionConfig):
-    for lhs, rhs in zip(chain, chain[1:]):
-        verdict = _equiv_line((lhs, rhs), config)
-        if not verdict.equal:
-            return False, verdict.counterexample
-    return True, None
-
-
-def _equiv_line(pair: tuple[str, str], config: SessionConfig):
-    # Each suite line runs over its own letters unless an alphabet was
-    # declared for the whole session.
-    alpha = config.alphabet or _inferred_alphabet(pair)
-    terms = [parse(t, alpha) for t in pair]
-    return equivalent(terms[0], terms[1], alpha, config.max_pairs)
+    print(f"check-identities: {sum(results)}/{len(results)} checks passed")
+    return 0 if all(results) else 1
 
 
 def _inferred_alphabet(texts) -> tuple[str, ...]:
-    found: set[str] = set()
-    for text in texts:
-        found |= letters(parse(text))
-    return tuple(sorted(found))
+    return tuple(sorted(set().union(*(letters(parse(text)) for text in texts))))
 
 
-def _check_word(word: str, alphabet: tuple[str, ...]) -> None:
-    for i, ch in enumerate(word):
-        if ch not in alphabet:
-            raise AlphabetError(
-                f"word symbol {ch!r} at position {i} is not in the alphabet"
-            )
+def _derivative(args: argparse.Namespace, alpha: tuple[str, ...]):
+    # derive and match: the derivative of the expression by the word.
+    e = parse(args.expr, alpha)
+    for i, ch in enumerate(args.word):
+        if ch not in alpha:
+            raise AlphabetError(f"word symbol {ch!r} at position {i} is not in the alphabet")
+    return deriv_word(args.word, e)
 
 
-def _require_alphabet(config: SessionConfig) -> None:
-    if not config.alphabet:
-        raise AlphabetError(
-            "the alphabet is empty; declare one with --alphabet"
-        )
+def _nonempty(alpha: tuple[str, ...]) -> tuple[str, ...]:
+    # dfa and equiv need letters; the others answer over an empty alphabet.
+    if not alpha:
+        raise AlphabetError("the alphabet is empty; declare one with --alphabet")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
 # argv plumbing
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+    if value < least:
+        message = "must be a positive integer" if least else "must be nonnegative"
+        raise argparse.ArgumentTypeError(message)
     return value
 
 
 def _bound_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+    # Named, not a lambda: argparse names the type when the text is no number.
+    return _positive_int(text, 0)
+
+
+def _budget(default: int, text: str) -> dict:
+    return dict(type=_positive_int, default=default, metavar="N", help=text)
+
+
+# Options every command takes, then each command's handler, help line and
+# own arguments; options are add_argument keywords by flag or name.
+COMMON_OPTIONS = {
+    "--alphabet": dict(
+        metavar="LETTERS", help="symbols to work over (default: the letters of the expressions)"
+    ),
+    "--max-states": _budget(DEFAULT_MAX_STATES, "state budget for DFA construction"),
+    "--max-pairs": _budget(DEFAULT_MAX_PAIRS, "pair budget for equivalence checking"),
+    "--enum-cap": _budget(DEFAULT_CAP, "word budget for enumeration"),
+}
+
+COMMANDS = {
+    "derive": (cmd_derive, "word derivative of an expression", {"expr": {}, "word": {}}),
+    "match": (cmd_match, "test whether a word matches", {"expr": {}, "word": {}}),
+    "dfa": (cmd_dfa, "compile to a DFA and print it",
+            {"expr": {}, "--format": dict(choices=("dot", "json"), default="dot")}),
+    "equiv": (cmd_equiv, "decide language equivalence", {"expr1": {}, "expr2": {}}),
+    "enum": (cmd_enum, "list words up to a length bound",
+             {"expr": {}, "--bound": dict(type=_bound_int, default=6, metavar="K")}),
+    "check-identities": (cmd_check_identities, "run the identity suite", {}),
+}
 
 
 def _argparser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--alphabet",
-        metavar="LETTERS",
-        help="symbols to work over (default: the letters of the expressions)",
-    )
-    common.add_argument(
-        "--max-states",
-        type=_positive_int,
-        default=DEFAULT_MAX_STATES,
-        metavar="N",
-        help="state budget for DFA construction",
-    )
-    common.add_argument(
-        "--max-pairs",
-        type=_positive_int,
-        default=DEFAULT_MAX_PAIRS,
-        metavar="N",
-        help="pair budget for equivalence checking",
-    )
-    common.add_argument(
-        "--enum-cap",
-        type=_positive_int,
-        default=DEFAULT_CAP,
-        metavar="N",
-        help="word budget for enumeration",
-    )
-
     ap = argparse.ArgumentParser(
         prog="derivrex",
         description="Derivative-based regular-expression engine.",
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("derive", parents=[common], help="word derivative of an expression")
-    p.add_argument("expr")
-    p.add_argument("word")
-    p.set_defaults(handler=_run_derive)
-
-    p = sub.add_parser("match", parents=[common], help="test whether a word matches")
-    p.add_argument("expr")
-    p.add_argument("word")
-    p.set_defaults(handler=_run_match)
-
-    p = sub.add_parser("dfa", parents=[common], help="compile to a DFA and print it")
-    p.add_argument("expr")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.set_defaults(handler=_run_dfa)
-
-    p = sub.add_parser("equiv", parents=[common], help="decide language equivalence")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    p.set_defaults(handler=_run_equiv)
-
-    p = sub.add_parser("enum", parents=[common], help="list words up to a length bound")
-    p.add_argument("expr")
-    p.add_argument("--bound", type=_bound_int, default=6, metavar="K")
-    p.set_defaults(handler=_run_enum)
-
-    p = sub.add_parser("check-identities", parents=[common], help="run the identity suite")
-    p.set_defaults(handler=_run_check_identities)
-
+    for name, (_, summary, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, options in (COMMON_OPTIONS | arguments).items():
+            p.add_argument(flag, **options)
     return ap
-
-
-def _make_config(args: argparse.Namespace, texts, output_format: str = "text") -> SessionConfig:
-    if args.alphabet is not None:
-        symbols = tuple(dict.fromkeys(args.alphabet))
-        for ch in symbols:
-            require_symbol(ch)
-        if not symbols:
-            raise AlphabetError("the declared alphabet is empty")
-    else:
-        symbols = _inferred_alphabet(texts)
-    return SessionConfig(
-        alphabet=symbols,
-        max_states=args.max_states,
-        max_pairs=args.max_pairs,
-        enum_cap=args.enum_cap,
-        output_format=output_format,
-    )
-
-
-def _run_derive(args):
-    return cmd_derive(args.expr, args.word, _make_config(args, [args.expr]))
-
-
-def _run_match(args):
-    return cmd_match(args.expr, args.word, _make_config(args, [args.expr]))
-
-
-def _run_dfa(args):
-    return cmd_dfa(args.expr, _make_config(args, [args.expr], output_format=args.format))
-
-
-def _run_equiv(args):
-    return cmd_equiv(args.expr1, args.expr2, _make_config(args, [args.expr1, args.expr2]))
-
-
-def _run_enum(args):
-    return cmd_enum(args.expr, args.bound, _make_config(args, [args.expr]))
-
-
-def _run_check_identities(args):
-    # No expressions of its own: infer per suite line unless one is declared.
-    if args.alphabet is not None:
-        config = _make_config(args, [])
-    else:
-        config = SessionConfig(
-            alphabet=(),
-            max_states=args.max_states,
-            max_pairs=args.max_pairs,
-            enum_cap=args.enum_cap,
-        )
-    return cmd_check_identities(config)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _argparser().parse_args(argv)
     try:
-        return args.handler(args)
+        # The declared alphabet, or else the letters of the command's
+        # expressions: none for check-identities, which infers per line.
+        if args.alphabet is None:
+            alpha = _inferred_alphabet(
+                getattr(args, name) for name in ("expr", "expr1", "expr2") if name in args
+            )
+        elif not (alpha := _alphabet(args.alphabet)):
+            raise AlphabetError("the declared alphabet is empty")
+        return COMMANDS[args.command][0](args, alpha)
     except DerivrexError as exc:
         print(f"derivrex: error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,6 @@ whether the result accepts the empty word.
 
 from __future__ import annotations
 
-from .errors import EmptyWordError
 from .syntax import (
     EMPTY,
     EPSILON,
@@ -27,7 +26,6 @@ from .syntax import (
     diff,
     intersect,
     require_symbol,
-    star,
     union,
 )
 
@@ -176,36 +174,3 @@ def matches(e: Regex, w: Word) -> bool:
     costs one dict lookup per symbol.
     """
     return nullable(deriv_word(w, e))
-
-
-def concat_expansion(w: Word, e: Regex, f: Regex) -> Regex:
-    """Closed form of the word derivative of a concatenation.
-
-    D_w(ef) equals (D_w(e))f plus, for every split w = p.s with s nonempty,
-    the term delta(D_p(e)) D_s(f).  Built directly from that sum rather than
-    by folding single-symbol steps, it cross-checks deriv_word.
-    """
-    if not w:
-        raise EmptyWordError("concat expansion is defined for nonempty words")
-    e, f = canonicalize(e), canonicalize(f)
-    node = concat(deriv_word(w, e), f)
-    for cut in range(len(w)):
-        head, tail = w[:cut], w[cut:]
-        node = union(node, concat(delta(deriv_word(head, e)), deriv_word(tail, f)))
-    return node
-
-
-def star_expansion(w: Word, e: Regex) -> Regex:
-    """Closed form of the word derivative of e*.
-
-    D_w(e*) equals (D_w(e))e* plus, for every split w = p.s with both parts
-    nonempty, the term delta(D_p(e)) D_s(e*), the tail expanded recursively.
-    """
-    if not w:
-        raise EmptyWordError("star expansion is defined for nonempty words")
-    e = canonicalize(e)
-    node = concat(deriv_word(w, e), star(e))
-    for cut in range(1, len(w)):
-        head, tail = w[:cut], w[cut:]
-        node = union(node, concat(delta(deriv_word(head, e)), star_expansion(tail, e)))
-    return node

@@ -200,6 +200,15 @@ def require_symbol(ch: str) -> None:
         raise AlphabetError(f"{ch!r} is not a single lowercase letter")
 
 
+def _alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
+    # An alphabet: the symbols in first-seen order without repeats, each
+    # checked to be a letter.
+    alpha = tuple(dict.fromkeys(symbols))
+    for ch in alpha:
+        require_symbol(ch)
+    return alpha
+
+
 def letters(e: Regex) -> frozenset[str]:
     """The set of symbols occurring in a term."""
     found: set[str] = set()
@@ -372,17 +381,20 @@ def _body(e: Regex) -> str:
                 text = _wrap(l, _body(l), _INTER_PREC) + "&" + _wrap(r, _body(r), _CONCAT_PREC)
             case Diff(l, r):
                 text = _wrap(l, _body(l), _DIFF_PREC) + "-" + _wrap(r, _body(r), _INTER_PREC)
-            case Union(l, r):
+            case Union():
                 # A chain nests to the left and can be thousands long, so
-                # print its unprinted prefixes deepest first: each then
-                # finds the text of its left operand already kept.
-                spine, node = [], l
+                # walk down to the first prefix already printed (or the
+                # first operand) and join the rest onto it.  Only the top
+                # keeps the text: kept on every prefix, the texts would
+                # take memory quadratic in the chain.  Nothing is wrapped
+                # in parentheses at union level.
+                rights, node = [], e
                 while type(node) is Union and node._text is None:
-                    spine.append(node)
+                    rights.append(node.right)
                     node = node.left
-                for node in reversed(spine):
-                    _body(node)
-                text = _wrap(l, _body(l), _UNION_PREC) + "+" + _wrap(r, _body(r), _DIFF_PREC)
+                parts = [_body(node)]
+                parts += (_wrap(r, _body(r), _DIFF_PREC) for r in reversed(rights))
+                text = "+".join(parts)
         _setslot(e, "_text", text)
     return text
 

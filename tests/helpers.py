@@ -15,6 +15,7 @@ from derivrex import (
     Diff,
     Empty,
     Epsilon,
+    EmptyWordError,
     EquivVerdict,
     Intersect,
     PairBudgetError,
@@ -23,9 +24,14 @@ from derivrex import (
     Sym,
     Union,
     canonicalize,
+    concat,
+    delta,
     deriv_sym,
+    deriv_word,
     nullable,
     parse,
+    star,
+    union,
 )
 
 # Expressions drawn from the identity suite, its non-identity counterparts,
@@ -187,3 +193,36 @@ def reference_build_dfa(e, alphabet, max_states):
         pos += 1
     accepting = frozenset(i for i, t in enumerate(states) if nullable(t))
     return Dfa(tuple(states), alpha, 0, accepting, tuple(rows))
+
+
+def concat_expansion(w, e, f):
+    """Closed form of the word derivative of a concatenation.
+
+    D_w(ef) equals (D_w(e))f plus, for every split w = p.s with s nonempty,
+    the term delta(D_p(e)) D_s(f).  Built directly from that sum rather than
+    by folding single-symbol steps, it cross-checks deriv_word.
+    """
+    if not w:
+        raise EmptyWordError("concat expansion is defined for nonempty words")
+    e, f = canonicalize(e), canonicalize(f)
+    node = concat(deriv_word(w, e), f)
+    for cut in range(len(w)):
+        head, tail = w[:cut], w[cut:]
+        node = union(node, concat(delta(deriv_word(head, e)), deriv_word(tail, f)))
+    return node
+
+
+def star_expansion(w, e):
+    """Closed form of the word derivative of e*.
+
+    D_w(e*) equals (D_w(e))e* plus, for every split w = p.s with both parts
+    nonempty, the term delta(D_p(e)) D_s(e*), the tail expanded recursively.
+    """
+    if not w:
+        raise EmptyWordError("star expansion is defined for nonempty words")
+    e = canonicalize(e)
+    node = concat(deriv_word(w, e), star(e))
+    for cut in range(1, len(w)):
+        head, tail = w[:cut], w[cut:]
+        node = union(node, concat(delta(deriv_word(head, e)), star_expansion(tail, e)))
+    return node

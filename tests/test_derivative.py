@@ -16,7 +16,6 @@ from derivrex import (
     Sym,
     Union,
     canonicalize,
-    concat_expansion,
     delta,
     deriv_sym,
     deriv_word,
@@ -26,7 +25,6 @@ from derivrex import (
     nullable,
     parse,
     render,
-    star_expansion,
 )
 
 WORDS = st.text(alphabet="ab", max_size=5)
@@ -144,12 +142,12 @@ class TestConcatExpansion:
         ],
     )
     def test_worked_examples(self, w, e, f, expected):
-        got = concat_expansion(w, parse(e), parse(f))
+        got = helpers.concat_expansion(w, parse(e), parse(f))
         assert render(got) == expected
 
     def test_rejects_the_empty_word(self):
         with pytest.raises(EmptyWordError):
-            concat_expansion("", parse("a"), parse("b"))
+            helpers.concat_expansion("", parse("a"), parse("b"))
 
     @given(
         helpers.regexes(max_leaves=5),
@@ -158,7 +156,7 @@ class TestConcatExpansion:
     )
     def test_agrees_with_stepwise_derivation(self, e, f, w):
         assert lang_equal_upto(
-            deriv_word(w, Concat(e, f)), concat_expansion(w, e, f), 5
+            deriv_word(w, Concat(e, f)), helpers.concat_expansion(w, e, f), 5
         )
 
 
@@ -172,15 +170,15 @@ class TestStarExpansion:
         ],
     )
     def test_worked_examples(self, w, e, expected):
-        assert render(star_expansion(w, parse(e))) == expected
+        assert render(helpers.star_expansion(w, parse(e))) == expected
 
     def test_rejects_the_empty_word(self):
         with pytest.raises(EmptyWordError):
-            star_expansion("", parse("a"))
+            helpers.star_expansion("", parse("a"))
 
     @given(helpers.regexes(max_leaves=5), st.text(alphabet="ab", min_size=1, max_size=4))
     def test_agrees_with_stepwise_derivation(self, e, w):
-        assert lang_equal_upto(deriv_word(w, Star(e)), star_expansion(w, e), 5)
+        assert lang_equal_upto(deriv_word(w, Star(e)), helpers.star_expansion(w, e), 5)
 
 
 class TestUnionAndBooleanLaws:

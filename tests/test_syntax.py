@@ -1,5 +1,8 @@
 """Parsing, printing, term ordering, and canonical forms."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -200,6 +203,20 @@ class TestWideChains:
         assert not matches(e, "zzz")
         for t in (e, canonicalize(e)):
             assert parse(render(t)) is t
+
+    def test_printing_a_wide_union_keeps_linear_memory(self):
+        gc.collect()
+        text = helpers.word_union_text()
+        e = parse(text)
+        tracemalloc.start()
+        try:
+            assert render(e) == text
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The text is 12 kB.  Keeping the text of every prefix of the chain
+        # held about 18 MB.
+        assert held < 2_000_000
 
     def test_wide_intersection_canonicalizes(self):
         e = parse("&".join("ab"[i % 2] + "*" for i in range(3000)))
