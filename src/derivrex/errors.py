@@ -21,10 +21,6 @@ class AutomatonFormatError(DerivrexError):
     """A document given to from_json does not describe a total automaton."""
 
 
-class EmptyWordError(DerivrexError):
-    """An operation defined only for nonempty words was given the empty word."""
-
-
 class StateBudgetError(DerivrexError):
     """The derivative closure grew past the allowed number of states."""
 

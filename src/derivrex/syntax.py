@@ -242,7 +242,14 @@ def word_regex(w: Word) -> Regex:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing and printing
+#
+# The operator table: binding strength (higher binds tighter) and the infix
+# texts.  The parser and the printer both read it.
+
+_PREC = {Union: 0, Diff: 1, Intersect: 2, Concat: 3, Star: 4}
+_INFIX = {"+": Union, "-": Diff, "&": Intersect}
+_INFIX_TEXT = {cls: op for op, cls in _INFIX.items()}
 
 
 def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
@@ -252,105 +259,68 @@ def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
     outside it raise AlphabetError; otherwise any lowercase letter is
     accepted.
     """
+    # Precedence climbing over explicit stacks, so nesting costs no frames.
     allowed = None if alphabet is None else frozenset(alphabet)
-    parser = _Parser(text, allowed)
-    node = parser.union()
-    if parser.peek():
-        raise ParseError(f"unexpected {parser.peek()!r}", parser.pos)
-    return node
+    operands: list[Regex] = []
+    pending: list[type | None] = []  # operators not yet applied; None is a '('
+    depth = 0  # the number of Nones in pending
+    want_operand = True
+    pos, end = 0, len(text)
 
+    def fold(prec: int) -> None:
+        # Apply the pending operators above the innermost '(' that bind at
+        # least as tightly as prec, topmost first.
+        while pending and pending[-1] is not None and _PREC[pending[-1]] >= prec:
+            right = operands.pop()
+            operands[-1] = pending.pop()(operands[-1], right)
 
-class _Parser:
-    def __init__(self, text: str, allowed: frozenset[str] | None):
-        self.text = text
-        self.allowed = allowed
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def union(self) -> Regex:
-        node = self.diff()
-        while self.peek() == "+":
-            self.pos += 1
-            node = Union(node, self.diff())
-        return node
-
-    def diff(self) -> Regex:
-        node = self.inter()
-        while self.peek() == "-":
-            self.pos += 1
-            node = Diff(node, self.inter())
-        return node
-
-    def inter(self) -> Regex:
-        node = self.concat()
-        while self.peek() == "&":
-            self.pos += 1
-            node = Intersect(node, self.concat())
-        return node
-
-    def concat(self) -> Regex:
-        parts = [self.starred()]
-        while self._at_atom():
-            parts.append(self.starred())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):  # juxtaposition nests to the right
-            node = Concat(part, node)
-        return node
-
-    def starred(self) -> Regex:
-        node = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            node = Star(node)
-        return node
-
-    def atom(self) -> Regex:
-        ch = self.peek()
-        if ch == "0":
-            self.pos += 1
-            return EMPTY
-        if ch == "1":
-            self.pos += 1
-            return EPSILON
-        if ch == "(":
-            self.pos += 1
-            node = self.union()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        if ch in LETTERS:
-            if self.allowed is not None and ch not in self.allowed:
-                raise AlphabetError(
-                    f"symbol {ch!r} at position {self.pos} is not in the alphabet"
-                )
-            self.pos += 1
-            return Sym(ch)
-        if not ch:
-            raise ParseError("unexpected end of input", self.pos)
-        raise ParseError(f"unexpected {ch!r}", self.pos)
-
-    def _at_atom(self) -> bool:
-        ch = self.peek()
-        return bool(ch) and (ch in "01(" or ch in LETTERS)
-
-
-# ---------------------------------------------------------------------------
-# Printing
-
-_UNION_PREC, _DIFF_PREC, _INTER_PREC, _CONCAT_PREC, _STAR_PREC, _ATOM_PREC = range(6)
-
-_PREC = {
-    Union: _UNION_PREC,
-    Diff: _DIFF_PREC,
-    Intersect: _INTER_PREC,
-    Concat: _CONCAT_PREC,
-    Star: _STAR_PREC,
-}
+    while True:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        ch = text[pos] if pos < end else ""
+        if want_operand:
+            if ch == "(":
+                pending.append(None)
+                depth += 1
+            elif ch == "0":
+                operands.append(EMPTY)
+            elif ch == "1":
+                operands.append(EPSILON)
+            elif ch in LETTERS:
+                if allowed is not None and ch not in allowed:
+                    raise AlphabetError(
+                        f"symbol {ch!r} at position {pos} is not in the alphabet"
+                    )
+                operands.append(Sym(ch))
+            elif ch:
+                raise ParseError(f"unexpected {ch!r}", pos)
+            else:
+                raise ParseError("unexpected end of input", pos)
+            want_operand = ch == "("
+        elif ch in _INFIX:  # left-associative: fold the equal ones too
+            op = _INFIX[ch]
+            fold(_PREC[op])
+            pending.append(op)
+            want_operand = True
+        elif ch == "*":
+            operands[-1] = Star(operands[-1])
+        elif ch == ")" and depth:
+            fold(0)
+            pending.pop()
+            depth -= 1
+        elif ch and (ch in "01(" or ch in LETTERS):
+            # Juxtaposition nests to the right: nothing is folded.
+            pending.append(Concat)
+            want_operand = True
+            continue
+        elif depth:
+            raise ParseError("expected ')'", pos)
+        elif ch:
+            raise ParseError(f"unexpected {ch!r}", pos)
+        else:
+            fold(0)
+            return operands[0]
+        pos += 1
 
 
 def render(e: Regex) -> str:
@@ -360,10 +330,10 @@ def render(e: Regex) -> str:
     return _body(e)
 
 
-def _body(e: Regex) -> str:
-    # The text without enclosing parentheses, kept on the node.  One frame
-    # per level of nesting (_wrap does not recurse), but none per operand
-    # of a union chain.
+def _body(e: Regex, context: int = 0) -> str:
+    # The text of e, in parentheses when e binds more loosely than context.
+    # The bare text is kept on the node.  One frame per level of nesting,
+    # but none per operand of a +, - or & chain.
     text = e._text
     if text is None:
         match e:
@@ -374,33 +344,25 @@ def _body(e: Regex) -> str:
             case Sym(ch):
                 text = ch
             case Star(x):
-                text = _wrap(x, _body(x), _STAR_PREC) + "*"
+                text = _body(x, _PREC[Star]) + "*"
             case Concat(l, r):
-                text = _wrap(l, _body(l), _STAR_PREC) + _wrap(r, _body(r), _CONCAT_PREC)
-            case Intersect(l, r):
-                text = _wrap(l, _body(l), _INTER_PREC) + "&" + _wrap(r, _body(r), _CONCAT_PREC)
-            case Diff(l, r):
-                text = _wrap(l, _body(l), _DIFF_PREC) + "-" + _wrap(r, _body(r), _INTER_PREC)
-            case Union():
+                text = _body(l, _PREC[Star]) + _body(r, _PREC[Concat])
+            case _Binary():
                 # A chain nests to the left and can be thousands long, so
                 # walk down to the first prefix already printed (or the
                 # first operand) and join the rest onto it.  Only the top
                 # keeps the text: kept on every prefix, the texts would
-                # take memory quadratic in the chain.  Nothing is wrapped
-                # in parentheses at union level.
-                rights, node = [], e
-                while type(node) is Union and node._text is None:
+                # take memory quadratic in the chain.
+                cls, rights, node = type(e), [], e
+                while type(node) is cls and node._text is None:
                     rights.append(node.right)
                     node = node.left
-                parts = [_body(node)]
-                parts += (_wrap(r, _body(r), _DIFF_PREC) for r in reversed(rights))
-                text = "+".join(parts)
+                prec = _PREC[cls]
+                parts = [_body(node, prec)]
+                parts += (_body(r, prec + 1) for r in reversed(rights))
+                text = _INFIX_TEXT[cls].join(parts)
         _setslot(e, "_text", text)
-    return text
-
-
-def _wrap(e: Regex, body: str, context: int) -> str:
-    return f"({body})" if _PREC.get(type(e), _ATOM_PREC) < context else body
+    return f"({text})" if _PREC.get(type(e), context) < context else text
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from derivrex import (
     EMPTY,
     EPSILON,
+    AlphabetError,
     Concat,
     Dfa,
     Diff,
     Empty,
     Epsilon,
-    EmptyWordError,
     EquivVerdict,
     Intersect,
     PairBudgetError,
+    ParseError,
+    Regex,
     StateBudgetError,
     Star,
     Sym,
@@ -33,6 +35,7 @@ from derivrex import (
     star,
     union,
 )
+from derivrex.syntax import LETTERS
 
 # Expressions drawn from the identity suite, its non-identity counterparts,
 # and the worked derivative examples.  Together with the random terms below
@@ -203,7 +206,7 @@ def concat_expansion(w, e, f):
     by folding single-symbol steps, it cross-checks deriv_word.
     """
     if not w:
-        raise EmptyWordError("concat expansion is defined for nonempty words")
+        raise ValueError("concat expansion is defined for nonempty words")
     e, f = canonicalize(e), canonicalize(f)
     node = concat(deriv_word(w, e), f)
     for cut in range(len(w)):
@@ -219,10 +222,104 @@ def star_expansion(w, e):
     nonempty, the term delta(D_p(e)) D_s(e*), the tail expanded recursively.
     """
     if not w:
-        raise EmptyWordError("star expansion is defined for nonempty words")
+        raise ValueError("star expansion is defined for nonempty words")
     e = canonicalize(e)
     node = concat(deriv_word(w, e), star(e))
     for cut in range(1, len(w)):
         head, tail = w[:cut], w[cut:]
         node = union(node, concat(delta(deriv_word(head, e)), star_expansion(tail, e)))
     return node
+
+
+def reference_parse(text, alphabet=None):
+    """The recursive-descent parser, as a reference for parse.
+
+    One method per precedence level; the same terms, and the same errors
+    at the same positions, as parse, but one frame per level of the grammar
+    for every level of nesting in the text.
+    """
+    allowed = None if alphabet is None else frozenset(alphabet)
+    parser = _Parser(text, allowed)
+    node = parser.union()
+    if parser.peek():
+        raise ParseError(f"unexpected {parser.peek()!r}", parser.pos)
+    return node
+
+
+class _Parser:
+    def __init__(self, text: str, allowed: frozenset[str] | None):
+        self.text = text
+        self.allowed = allowed
+        self.pos = 0
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def union(self) -> Regex:
+        node = self.diff()
+        while self.peek() == "+":
+            self.pos += 1
+            node = Union(node, self.diff())
+        return node
+
+    def diff(self) -> Regex:
+        node = self.inter()
+        while self.peek() == "-":
+            self.pos += 1
+            node = Diff(node, self.inter())
+        return node
+
+    def inter(self) -> Regex:
+        node = self.concat()
+        while self.peek() == "&":
+            self.pos += 1
+            node = Intersect(node, self.concat())
+        return node
+
+    def concat(self) -> Regex:
+        parts = [self.starred()]
+        while self._at_atom():
+            parts.append(self.starred())
+        node = parts[-1]
+        for part in reversed(parts[:-1]):  # juxtaposition nests to the right
+            node = Concat(part, node)
+        return node
+
+    def starred(self) -> Regex:
+        node = self.atom()
+        while self.peek() == "*":
+            self.pos += 1
+            node = Star(node)
+        return node
+
+    def atom(self) -> Regex:
+        ch = self.peek()
+        if ch == "0":
+            self.pos += 1
+            return EMPTY
+        if ch == "1":
+            self.pos += 1
+            return EPSILON
+        if ch == "(":
+            self.pos += 1
+            node = self.union()
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
+            return node
+        if ch in LETTERS:
+            if self.allowed is not None and ch not in self.allowed:
+                raise AlphabetError(
+                    f"symbol {ch!r} at position {self.pos} is not in the alphabet"
+                )
+            self.pos += 1
+            return Sym(ch)
+        if not ch:
+            raise ParseError("unexpected end of input", self.pos)
+        raise ParseError(f"unexpected {ch!r}", self.pos)
+
+    def _at_atom(self) -> bool:
+        ch = self.peek()
+        return bool(ch) and (ch in "01(" or ch in LETTERS)

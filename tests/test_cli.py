@@ -147,13 +147,26 @@ class TestCheckIdentities:
 
 class TestBackstop:
     def test_deep_nesting_is_an_error_not_a_traceback(self, capsys):
-        expr = "(" * 170 + "a" + ")" * 170
-        code, out, err = run(capsys, "match", expr, "a")
+        # A literal this long still recurses past the limit in canonicalize.
+        word = "a" * 1200
+        code, out, err = run(capsys, "match", word, word)
         assert code == 2
         assert out == ""
         assert err.startswith("derivrex: error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "expr,word",
+        [
+            ("(" * 170 + "a" + ")" * 170, "a"),
+            ("(" * 5000 + "a" + ")" * 5000, "a"),
+            ("(" * 300 + "a" + ")*" * 300, "aa"),
+        ],
+        ids=["170-groups", "5000-groups", "300-starred-groups"],
+    )
+    def test_deep_nesting_gets_an_answer(self, capsys, expr, word):
+        assert run(capsys, "match", expr, word) == (0, "true\n", "")
 
     def test_long_literal_matches_itself(self, capsys):
         word = "a" * 400

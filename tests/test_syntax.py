@@ -1,10 +1,11 @@
 """Parsing, printing, term ordering, and canonical forms."""
 
 import gc
+import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import helpers
 from derivrex import (
@@ -12,6 +13,7 @@ from derivrex import (
     EPSILON,
     AlphabetError,
     Concat,
+    DerivrexError,
     Diff,
     Intersect,
     ParseError,
@@ -71,10 +73,42 @@ class TestParse:
             parse(text)
         assert err.value.position == position
 
+    def test_deep_nesting_parses(self):
+        assert parse("(" * 10_000 + "a" + ")" * 10_000) is A
+
     def test_letter_outside_declared_alphabet(self):
         with pytest.raises(AlphabetError):
             parse("a(b+c)", alphabet="ab")
         assert parse("a(b+c)", alphabet="abc") == Concat(A, Union(B, C))
+
+
+def parse_outcome(parser, text, alphabet):
+    """The term a parser returns, or the type, message and position it raises."""
+    try:
+        return parser(text, alphabet)
+    except DerivrexError as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+def assert_parses_like_reference(text):
+    for alphabet in (None, "a", "ab"):
+        got = parse_outcome(parse, text, alphabet)
+        want = parse_outcome(helpers.reference_parse, text, alphabet)
+        if isinstance(want, tuple):
+            assert got == want, (text, alphabet)
+        else:
+            assert got is want, (text, alphabet)
+
+
+class TestAgreesWithRecursiveDescent:
+    def test_every_short_text(self):
+        for n in range(6):
+            for chars in itertools.product("0a()+&*", repeat=n):
+                assert_parses_like_reference("".join(chars))
+
+    @given(st.text(alphabet="01abc()+-&* \t\0", max_size=40))
+    def test_random_texts(self, text):
+        assert_parses_like_reference(text)
 
 
 class TestRender:
@@ -217,6 +251,11 @@ class TestWideChains:
         # The text is 12 kB.  Keeping the text of every prefix of the chain
         # held about 18 MB.
         assert held < 2_000_000
+
+    @pytest.mark.parametrize("op", ["&", "-"])
+    def test_wide_infix_chain_round_trips(self, op):
+        e = parse(op.join("ab"[i % 2] + "*" for i in range(3000)))
+        assert parse(render(e)) is e
 
     def test_wide_intersection_canonicalizes(self):
         e = parse("&".join("ab"[i % 2] + "*" for i in range(3000)))
