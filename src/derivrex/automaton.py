@@ -179,19 +179,24 @@ def to_dot(d: Dfa) -> str:
 
 
 def to_json(d: Dfa) -> str:
-    """Compact JSON document; byte-identical output for equal automata."""
-    doc = {
-        "alphabet": list(d.alphabet),
-        "states": [render(state) for state in d.states],
-        "start": d.start,
-        "accepting": sorted(d.accepting),
-        "transitions": [
-            {"from": i, "symbol": a, "to": j}
-            for i, row in enumerate(d.transitions)
-            for a, j in zip(d.alphabet, row)
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """Compact JSON document; byte-identical output for equal automata.
+
+    The document is written directly, each array joined from its items,
+    so no dict is built per transition; only the strings go through
+    json.dumps.
+    """
+    symbols = [json.dumps(a) for a in d.alphabet]
+    states = json.dumps([render(state) for state in d.states], separators=(",", ":"))
+    accepting = ",".join(map(str, sorted(d.accepting)))
+    moves = ",".join([
+        f'{{"from":{i},"symbol":{a},"to":{j}}}'
+        for i, row in enumerate(d.transitions)
+        for a, j in zip(symbols, row)
+    ])
+    return (
+        f'{{"alphabet":[{",".join(symbols)}],"states":{states},'
+        f'"start":{d.start},"accepting":[{accepting}],"transitions":[{moves}]}}'
+    )
 
 
 def from_json(text: str) -> Dfa:

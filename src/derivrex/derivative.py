@@ -71,8 +71,8 @@ def _deriv(a: str, e: Regex) -> Regex:
                     node = node.left
                 for node in reversed(spine):
                     _deriv(a, node)
-                # A canonical term is its own union with 0, so skip the
-                # rebuild, which costs as much as the chain is long.
+                # A canonical term is its own union with 0.  union would
+                # sort and look up again every operand of dr when d is 0.
                 d, dr = _deriv(a, l), _deriv(a, r)
                 if d is EMPTY:
                     d = dr

@@ -80,6 +80,12 @@ _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 _setslot = object.__setattr__
 
+# The weak table's own dict, from key to weak reference.  Constructors read
+# it directly, so a hit costs one dict lookup and one call of the reference
+# and runs no Python frame of WeakValueDictionary.get, which took a third
+# of a hit's time.  A missing key or a dead reference goes on to _intern.
+_LIVE = _INTERNED.data
+
 
 def _intern(cls: type, key: tuple, order: tuple, nullable: bool, *fields) -> Regex:
     # Called after a lookup missed.  The lookup is repeated under the lock
@@ -106,7 +112,8 @@ class Empty(Regex):
     __slots__ = ()
 
     def __new__(cls) -> Regex:
-        return _INTERNED.get((cls,)) or _intern(cls, (cls,), (0,), False)
+        ref = _LIVE.get((cls,))
+        return ref and ref() or _intern(cls, (cls,), (0,), False)
 
 
 class Epsilon(Regex):
@@ -115,7 +122,8 @@ class Epsilon(Regex):
     __slots__ = ()
 
     def __new__(cls) -> Regex:
-        return _INTERNED.get((cls,)) or _intern(cls, (cls,), (1,), True)
+        ref = _LIVE.get((cls,))
+        return ref and ref() or _intern(cls, (cls,), (1,), True)
 
 
 class Sym(Regex):
@@ -126,7 +134,8 @@ class Sym(Regex):
 
     def __new__(cls, ch: str) -> Regex:
         key = (cls, ch)
-        return _INTERNED.get(key) or _intern(cls, key, (2, ch), False, ch)
+        ref = _LIVE.get(key)
+        return ref and ref() or _intern(cls, key, (2, ch), False, ch)
 
 
 class Star(Regex):
@@ -137,7 +146,8 @@ class Star(Regex):
 
     def __new__(cls, inner: Regex) -> Regex:
         key = (cls, id(inner))
-        return _INTERNED.get(key) or _intern(cls, key, (3, inner._key), True, inner)
+        ref = _LIVE.get(key)
+        return ref and ref() or _intern(cls, key, (3, inner._key), True, inner)
 
 
 class _Binary(Regex):
@@ -148,7 +158,8 @@ class _Binary(Regex):
 
     def __new__(cls, left: Regex, right: Regex) -> Regex:
         key = (cls, id(left), id(right))
-        return _INTERNED.get(key) or _intern(
+        ref = _LIVE.get(key)
+        return ref and ref() or _intern(
             cls,
             key,
             (cls._tag, left._key, right._key),
@@ -387,19 +398,6 @@ def term_order(a: Regex, b: Regex) -> int:
 _sort_key = attrgetter("_key")
 
 
-def _chain(cls: type, args: set[Regex]) -> Regex:
-    # Left-nested chain of the operands in term order, except that 1 goes
-    # last so results read the way sums are conventionally written:
-    # "(a+b)*a+1" rather than "1+(a+b)*a".  (0 never gets here.)
-    ordered = sorted(args - {EPSILON}, key=_sort_key)
-    if EPSILON in args:
-        ordered.append(EPSILON)
-    node = ordered[0]
-    for arg in ordered[1:]:
-        node = cls(node, arg)
-    return node
-
-
 def _operands(e: Regex, cls: type) -> list[Regex]:
     # The operands of a nest of cls nodes, left to right, without recursion.
     out, stack = [], [e]
@@ -412,16 +410,55 @@ def _operands(e: Regex, cls: type) -> list[Regex]:
     return out
 
 
-def _flat(cls: type, terms: Iterable[Regex]) -> set[Regex]:
-    # The operands of canonical terms joined by cls: a cls chain adds its
-    # operands, anything else adds itself.
-    args: set[Regex] = set()
-    for t in terms:
+def _merge(cls: type, first: Regex, rest: Iterable[Regex]) -> Regex | None:
+    # The chain of first's operands and rest's, joined by cls in canonical
+    # order: term order without repeats or 0, except that 1 goes last so
+    # results read the way sums are conventionally written: "(a+b)*a+1"
+    # rather than "1+(a+b)*a".  None if there is no operand.
+    #
+    # first is canonical, so its chain is in that order already.  Only its
+    # operands above the smallest new one are taken off and merged with the
+    # new ones; the prefix below keeps its nodes, and so the derivatives
+    # and texts kept on them.  Appending one operand to a k-wide chain
+    # costs one comparison and one node, not a sort and k lookups.
+    new: set[Regex] = set()
+    for t in rest:
         if type(t) is cls:
-            args.update(_operands(t, cls))
+            new.update(_operands(t, cls))
         else:
-            args.add(t)
-    return args
+            new.add(t)
+    one = EPSILON in new or first is EPSILON
+    new.discard(EMPTY)
+    new.discard(EPSILON)
+    node = None if first is EMPTY or first is EPSILON else first
+    if type(node) is cls and node.right is EPSILON:
+        node, one = node.left, True
+    if new:
+        ordered = sorted(new, key=_sort_key)
+        low = ordered[0]
+        olds = []  # the operands taken off, largest first
+        while node is not None:
+            top = node.right if type(node) is cls else node
+            if top is low:  # already in the prefix: add it once
+                del ordered[0]
+                break
+            if top._key < low._key:
+                break
+            olds.append(top)
+            node = node.left if type(node) is cls else None
+        merged = []
+        for x in ordered:
+            while olds and olds[-1]._key < x._key:
+                merged.append(olds.pop())
+            if olds and olds[-1] is x:
+                olds.pop()
+            merged.append(x)
+        merged += reversed(olds)
+        for x in merged:
+            node = x if node is None else cls(node, x)
+    if one:
+        node = EPSILON if node is None else cls(node, EPSILON)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +472,15 @@ def _flat(cls: type, terms: Iterable[Regex]) -> set[Regex]:
 
 
 def union(*terms: Regex) -> Regex:
-    """Canonical union: flatten, drop 0, sort, deduplicate.  union() is 0."""
-    args = _flat(Union, terms)
-    args.discard(EMPTY)
-    return _chain(Union, args) if args else EMPTY
+    """Canonical union: flatten, drop 0, sort, deduplicate.  union() is 0.
+
+    The first operand's chain keeps its sorted prefix: the nodes below the
+    smallest operand the others add are reused, and only those above are
+    built, so adding one operand at the end of a chain builds one node.
+    """
+    if not terms:
+        return EMPTY
+    return _merge(Union, terms[0], terms[1:]) or EMPTY
 
 
 def concat(left: Regex, right: Regex) -> Regex:
@@ -467,9 +509,14 @@ def star(inner: Regex) -> Regex:
 
 
 def intersect(first: Regex, *rest: Regex) -> Regex:
-    """Canonical intersection: flatten, sort, deduplicate, absorb 0."""
-    args = _flat(Intersect, (first, *rest))
-    return EMPTY if EMPTY in args else _chain(Intersect, args)
+    """Canonical intersection: flatten, sort, deduplicate, absorb 0.
+
+    As in union, the first operand's chain keeps its sorted prefix, and
+    only the nodes above the smallest new operand are built.
+    """
+    if first is EMPTY or EMPTY in rest:
+        return EMPTY
+    return _merge(Intersect, first, rest)
 
 
 def diff(left: Regex, right: Regex) -> Regex:

@@ -1,6 +1,7 @@
 """Corpus and strategies shared by the test modules."""
 
 import itertools
+import json
 import random
 import string
 from collections import deque
@@ -32,6 +33,7 @@ from derivrex import (
     deriv_word,
     nullable,
     parse,
+    render,
     star,
     union,
 )
@@ -196,6 +198,65 @@ def reference_build_dfa(e, alphabet, max_states):
         pos += 1
     accepting = frozenset(i for i, t in enumerate(states) if nullable(t))
     return Dfa(tuple(states), alpha, 0, accepting, tuple(rows))
+
+
+def reference_union(*terms):
+    """Canonical union by set and sort, as a reference for union.
+
+    Every operand chain is taken apart into one set, 0 is dropped, and the
+    rest is sorted by term order with 1 last and built into a chain from
+    the bottom up.
+    """
+    args = _flat(Union, terms)
+    args.discard(EMPTY)
+    return _chain(Union, args) if args else EMPTY
+
+
+def reference_intersect(first, *rest):
+    """Canonical intersection by set and sort, as a reference for intersect."""
+    args = _flat(Intersect, (first, *rest))
+    return EMPTY if EMPTY in args else _chain(Intersect, args)
+
+
+def _flat(cls, terms):
+    # The operands of terms joined by cls: a cls node adds the operands of
+    # both its sides, anything else adds itself.
+    args, stack = set(), list(terms)
+    while stack:
+        node = stack.pop()
+        if type(node) is cls:
+            stack += (node.left, node.right)
+        else:
+            args.add(node)
+    return args
+
+
+def _chain(cls, args):
+    # Left-nested chain of the operands in term order, 1 last.
+    ordered = sorted(args - {EPSILON}, key=term_key)
+    if EPSILON in args:
+        ordered.append(EPSILON)
+    node = ordered[0]
+    for arg in ordered[1:]:
+        node = cls(node, arg)
+    return node
+
+
+def reference_to_json(d):
+    """The JSON export built as a dict and written by json.dumps, as a
+    reference for to_json."""
+    doc = {
+        "alphabet": list(d.alphabet),
+        "states": [render(state) for state in d.states],
+        "start": d.start,
+        "accepting": sorted(d.accepting),
+        "transitions": [
+            {"from": i, "symbol": a, "to": j}
+            for i, row in enumerate(d.transitions)
+            for a, j in zip(d.alphabet, row)
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def concat_expansion(w, e, f):

@@ -1,6 +1,7 @@
 """DFA construction, equivalence verdicts, and the two export formats."""
 
 import json
+import string
 
 import pytest
 
@@ -166,6 +167,20 @@ class TestExports:
             alpha = sorted({"a", "b"} | set(letters(e)))
             d = build_dfa(e, alpha)
             assert from_json(to_json(d)) == d
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abcz", "zcba"])
+    def test_json_is_the_dict_writers_bytes(self, corpus, alphabet):
+        for e in corpus:
+            d = build_dfa(e, alphabet)
+            assert to_json(d) == helpers.reference_to_json(d)
+            assert from_json(to_json(d)) == d
+
+    def test_json_over_26_letters_is_the_dict_writers_bytes(self):
+        sigma = "+".join(string.ascii_lowercase)
+        d = build_dfa(parse(f"({sigma})*a" + f"({sigma})" * 4), string.ascii_lowercase)
+        assert len(d.states) == 32
+        assert to_json(d) == helpers.reference_to_json(d)
+        assert from_json(to_json(d)) == d
 
     def test_exports_are_deterministic(self):
         one = build_dfa(parse("a(a+b)*"), "ab")

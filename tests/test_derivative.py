@@ -1,5 +1,8 @@
 """Single-symbol and word derivatives, with their closed-form expansions."""
 
+import itertools
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +117,19 @@ class TestDerivWord:
                 matches(e, "abXb")
             with pytest.raises(AlphabetError, match="'A' is not"):
                 deriv_word("abA", f)
+
+    def test_sorted_word_union_builds_one_node_per_operand(self, monkeypatch):
+        # The first 3,000 3-letter words put 676 under "a".  The derivative
+        # of each prefix of the chain adds one word at the end of the
+        # derivative below it; rebuilding that whole derivative each time
+        # made 228,475 Union nodes.
+        words = ["".join(p) for p in itertools.product(string.ascii_lowercase, repeat=3)]
+        e = canonicalize(parse("+".join(words[:3000])))
+        built = []
+        new = Union.__new__
+        monkeypatch.setattr(Union, "__new__", lambda cls, l, r: built.append(cls) or new(cls, l, r))
+        assert matches(e, "abc")
+        assert len(built) < 3000
 
     def test_word_steps_first_symbol_first(self):
         assert render(deriv_word("aba", parse("(a+b)ab"))) == "0"

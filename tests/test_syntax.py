@@ -20,13 +20,16 @@ from derivrex import (
     Star,
     Sym,
     Union,
+    build_dfa,
     canonicalize,
+    intersect,
     lang_equal_upto,
     letters,
     matches,
     parse,
     render,
     term_order,
+    union,
     word_regex,
 )
 
@@ -206,6 +209,51 @@ class TestCanonicalize:
     @given(helpers.regexes(max_leaves=6))
     def test_language_preserving(self, e):
         assert lang_equal_upto(e, canonicalize(e), 4)
+
+
+BUILDERS = [
+    pytest.param("+", union, helpers.reference_union, id="union"),
+    pytest.param("&", intersect, helpers.reference_intersect, id="intersect"),
+]
+CANONICAL = helpers.regexes("abc", max_leaves=6).map(canonicalize)
+
+
+@pytest.mark.parametrize("op,build,reference", BUILDERS)
+class TestBuildersAgreeWithSetAndSort:
+    """union and intersect keep the first chain's prefix and merge in the
+    rest; the reference builders flatten, sort and rebuild everything."""
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ("0",), ("1",), ("a",), ("a", "0"), ("0", "a"), ("1", "1"),
+            ("a", "1"), ("1", "a"), ("a+1", "b"), ("a+c+1", "b+1"), ("a+c", "1"),
+            ("b", "a"), ("b", "c"), ("b", "b"), ("a+b", "b+a"),
+            # new operands before, between and after a chain's operands
+            ("b+d+f", "a"), ("b+d+f", "c"), ("b+d+f", "g"), ("b+d+f", "a+c+e+g"),
+            # a new operand at the top of the prefix that is kept
+            ("b+d+f", "d+e"), ("b+d+f", "f"), ("b+d+f", "b+c"), ("b+d+f", "b+d+f"),
+            # chains on either side, and more than two operands
+            ("a", "b+d+f"), ("e", "b+d+f"), ("b+d+f", "a+g", "c", "0", "e+1"),
+            ("a*b", "a+b", "ab", "b*a+1", "a*"),
+        ],
+        ids=repr,
+    )
+    def test_cases(self, op, build, reference, texts):
+        terms = [canonicalize(parse(t.replace("+", op))) for t in texts]
+        assert build(*terms) is reference(*terms)
+
+    @given(st.data())
+    def test_canonical_terms_and_chains(self, op, build, reference, data):
+        chains = st.lists(CANONICAL, min_size=1, max_size=6).map(lambda xs: reference(*xs))
+        terms = data.draw(st.lists(st.one_of(CANONICAL, chains), min_size=1, max_size=4))
+        assert build(*terms) is reference(*terms)
+
+    def test_every_pair_of_corpus_derivatives(self, op, build, reference, corpus):
+        states = {s for e in corpus for s in build_dfa(e, "ab").states}
+        for x in states:
+            for y in states:
+                assert build(x, y) is reference(x, y)
 
 
 class TestWordHelpers:
