@@ -8,7 +8,6 @@ when the languages differ.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
@@ -182,11 +181,13 @@ def to_json(d: Dfa) -> str:
     """Compact JSON document; byte-identical output for equal automata.
 
     The document is written directly, each array joined from its items,
-    so no dict is built per transition; only the strings go through
-    json.dumps.
+    so no dict is built per transition.  Nothing in it needs escaping:
+    symbols are lowercase letters, and render writes only lowercase
+    letters and ``0 1 ( ) + - & *``, so every string is its own JSON text
+    between quotes.
     """
-    symbols = [json.dumps(a) for a in d.alphabet]
-    states = json.dumps([render(state) for state in d.states], separators=(",", ":"))
+    symbols = [f'"{a}"' for a in d.alphabet]
+    states = '","'.join([render(state) for state in d.states])
     accepting = ",".join(map(str, sorted(d.accepting)))
     moves = ",".join([
         f'{{"from":{i},"symbol":{a},"to":{j}}}'
@@ -194,7 +195,7 @@ def to_json(d: Dfa) -> str:
         for a, j in zip(symbols, row)
     ])
     return (
-        f'{{"alphabet":[{",".join(symbols)}],"states":{states},'
+        f'{{"alphabet":[{",".join(symbols)}],"states":["{states}"],'
         f'"start":{d.start},"accepting":[{accepting}],"transitions":[{moves}]}}'
     )
 
@@ -207,6 +208,8 @@ def from_json(text: str) -> Dfa:
     the alphabet, and there is exactly one transition per state and symbol.
     State texts that do not parse raise ParseError.
     """
+    import json  # here, so that importing the package does not load it
+
     try:
         doc = json.loads(text)
         alphabet, texts = tuple(doc["alphabet"]), tuple(doc["states"])

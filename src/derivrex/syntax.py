@@ -26,9 +26,9 @@ nested stars, which keeps the set of derivatives of any term finite.
 
 from __future__ import annotations
 
-import string
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -37,7 +37,7 @@ from .errors import AlphabetError, ParseError
 # A word is a plain string of alphabet symbols; "" is the empty word.
 Word = str
 
-LETTERS = frozenset(string.ascii_lowercase)
+LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 
 class Regex:
@@ -55,6 +55,7 @@ class Regex:
         "_key", "_nullable", "_canon", "_derivs", "_classes", "_text", "__weakref__"
     )
     __match_args__: tuple[str, ...] = ()
+    _setters: tuple  # the fields' slot setters, in __match_args__ order
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} terms are immutable")
@@ -65,44 +66,71 @@ class Regex:
     def __repr__(self) -> str:
         return f"<regex {render(self)}>"
 
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
     def __reduce__(self):
         # Copies and unpickled terms go back through the intern table.
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-# The intern table maps a class and the identities of its fields to the
-# live term with that structure.  Keys hold ids rather than the children:
-# a derivative of a star contains the star, so keys holding children would
-# keep every term reachable from this module.  Ids are safe because a live
-# term holds its children, so their ids cannot be reused while its entry
-# exists.
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The intern table maps a class and the identities of its fields to a weak
+# reference to the live term with that structure.  Keys hold ids rather than
+# the children: a derivative of a star contains the star, so keys holding
+# children would keep every term reachable from this module.  Ids are safe
+# because a live term holds its children, so their ids cannot be reused
+# while its entry exists.
+#
+# The table is a plain dict of keyed weak references, not a
+# WeakValueDictionary, so neither a lookup nor an insertion runs a Python
+# frame.  A reference removes its own entry when its term dies, with the
+# same atomic removal WeakValueDictionary uses: the entry goes only if it
+# still holds a dead reference, so a late callback never removes the live
+# term interned since under the same key.
+_INTERNED: dict[tuple, _Ref] = {}
 _INTERN_LOCK = threading.Lock()
 _setslot = object.__setattr__
 
-# The weak table's own dict, from key to weak reference.  Constructors read
-# it directly, so a hit costs one dict lookup and one call of the reference
-# and runs no Python frame of WeakValueDictionary.get, which took a third
-# of a hit's time.  A missing key or a dead reference goes on to _intern.
-_LIVE = _INTERNED.data
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref, table: dict = _INTERNED, remove=_remove_dead_weakref) -> None:
+    # Bound as defaults, so the callback still works while the interpreter
+    # tears this module down.
+    remove(table, ref.key)
+
+
+# Regex.__setattr__ refuses every assignment, so _intern fills the slots
+# of a new node through their descriptors' setters, bound once here and,
+# for the fields, once per class in Regex.__init_subclass__.
+_set_key, _set_nullable, _set_canon, _set_derivs, _set_classes, _set_text = (
+    getattr(Regex, name).__set__
+    for name in ("_key", "_nullable", "_canon", "_derivs", "_classes", "_text")
+)
+_new = object.__new__
 
 
 def _intern(cls: type, key: tuple, order: tuple, nullable: bool, *fields) -> Regex:
     # Called after a lookup missed.  The lookup is repeated under the lock
     # so that threads racing to build one term agree on one object.
     with _INTERN_LOCK:
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
         if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields):
-                _setslot(node, name, value)
-            _setslot(node, "_key", order)
-            _setslot(node, "_nullable", nullable)
-            _setslot(node, "_canon", None)
-            _setslot(node, "_derivs", None)
-            _setslot(node, "_classes", None)
-            _setslot(node, "_text", None)
-            _INTERNED[key] = node
+            node = _new(cls)
+            for setter, value in zip(cls._setters, fields):
+                setter(node, value)
+            _set_key(node, order)
+            _set_nullable(node, nullable)
+            _set_canon(node, None)
+            _set_derivs(node, None)
+            _set_classes(node, None)
+            _set_text(node, None)
+            ref = _Ref(node, _drop)
+            ref.key = key
+            _INTERNED[key] = ref
     return node
 
 
@@ -112,7 +140,7 @@ class Empty(Regex):
     __slots__ = ()
 
     def __new__(cls) -> Regex:
-        ref = _LIVE.get((cls,))
+        ref = _INTERNED.get((cls,))
         return ref and ref() or _intern(cls, (cls,), (0,), False)
 
 
@@ -122,7 +150,7 @@ class Epsilon(Regex):
     __slots__ = ()
 
     def __new__(cls) -> Regex:
-        ref = _LIVE.get((cls,))
+        ref = _INTERNED.get((cls,))
         return ref and ref() or _intern(cls, (cls,), (1,), True)
 
 
@@ -134,7 +162,9 @@ class Sym(Regex):
 
     def __new__(cls, ch: str) -> Regex:
         key = (cls, ch)
-        ref = _LIVE.get(key)
+        ref = _INTERNED.get(key)
+        if ref is None:  # to_json writes printed terms without escaping
+            require_symbol(ch)
         return ref and ref() or _intern(cls, key, (2, ch), False, ch)
 
 
@@ -146,7 +176,7 @@ class Star(Regex):
 
     def __new__(cls, inner: Regex) -> Regex:
         key = (cls, id(inner))
-        ref = _LIVE.get(key)
+        ref = _INTERNED.get(key)
         return ref and ref() or _intern(cls, key, (3, inner._key), True, inner)
 
 
@@ -158,7 +188,7 @@ class _Binary(Regex):
 
     def __new__(cls, left: Regex, right: Regex) -> Regex:
         key = (cls, id(left), id(right))
-        ref = _LIVE.get(key)
+        ref = _INTERNED.get(key)
         return ref and ref() or _intern(
             cls,
             key,
@@ -410,7 +440,7 @@ def _operands(e: Regex, cls: type) -> list[Regex]:
     return out
 
 
-def _merge(cls: type, first: Regex, rest: Iterable[Regex]) -> Regex | None:
+def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
     # The chain of first's operands and rest's, joined by cls in canonical
     # order: term order without repeats or 0, except that 1 goes last so
     # results read the way sums are conventionally written: "(a+b)*a+1"
@@ -421,6 +451,20 @@ def _merge(cls: type, first: Regex, rest: Iterable[Regex]) -> Regex | None:
     # new ones; the prefix below keeps its nodes, and so the derivatives
     # and texts kept on them.  Appending one operand to a k-wide chain
     # costs one comparison and one node, not a sort and k lookups.
+    if len(rest) == 1:
+        # One operand that sorts after first's top goes on top, with no set
+        # and no sort; not when the top is 1, which stays last, or when
+        # first is 0, which goes.  Sorting after a top other than 0 or 1,
+        # the new operand is neither 0 nor 1 itself.
+        t = rest[0]
+        top = first.right if type(first) is cls else first
+        if (
+            type(t) is not cls
+            and top._key < t._key
+            and top is not EPSILON
+            and top is not EMPTY
+        ):
+            return cls(first, t)
     new: set[Regex] = set()
     for t in rest:
         if type(t) is cls:

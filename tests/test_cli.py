@@ -191,6 +191,12 @@ def test_import_leaves_dataclasses_out():
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
+def test_import_leaves_json_and_string_out():
+    # Together they took about 3 ms of every CLI process.
+    done = python("-c", "import sys, derivrex.cli; print(sorted({'json', 'string'} & sys.modules.keys()))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
 @pytest.mark.parametrize(
     "argv,code,out",
     [(["match", "a", "a"], 0, "true\n"), (["match", "a", ""], 1, "false\n"), (["dfa", "0"], 2, "")],

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -135,6 +136,19 @@ class TestRender:
     def test_round_trips_through_parse(self, e):
         assert parse(render(e)) == e
 
+    # to_json writes state texts between quotes without escaping them.
+    PRINTABLE = re.compile(r"[a-z01()+\-&*]*")
+
+    def test_corpus_texts_need_no_json_escaping(self, corpus):
+        states = {s for e in corpus for s in build_dfa(e, "ab").states}
+        for t in [*corpus, *map(canonicalize, corpus), *states]:
+            assert self.PRINTABLE.fullmatch(render(t))
+
+    @given(helpers.regexes("abxyz"))
+    def test_texts_need_no_json_escaping(self, e):
+        assert self.PRINTABLE.fullmatch(render(e))
+        assert self.PRINTABLE.fullmatch(render(canonicalize(e)))
+
 
 class TestTermOrder:
     def test_empty_before_epsilon(self):
@@ -236,6 +250,16 @@ class TestBuildersAgreeWithSetAndSort:
             # chains on either side, and more than two operands
             ("a", "b+d+f"), ("e", "b+d+f"), ("b+d+f", "a+g", "c", "0", "e+1"),
             ("a*b", "a+b", "ab", "b*a+1", "a*"),
+            # one new operand, which goes on top with one comparison when it
+            # sorts after first's top, and the cases left to the merge:
+            # after a chain's top or a single term,
+            ("a+b", "c"), ("b+d", "e*"), ("a*", "ab"), ("a-b", "c"),
+            # after a chain or a 1 that ends in 1, which stays last,
+            ("a+b+1", "c"), ("a+b+1", "1"),
+            # equal to the top, a chain itself, 0 or 1, after a 0
+            ("a+b", "b"), ("a", "a"), ("a+b", "c+d"), ("a", "b+c"), ("a+b", "b+c"),
+            ("a+b", "c-d"), ("a+b", "0"), ("a+b", "1"), ("0", "a+b"), ("0", "1"),
+            ("1", "0"), ("0", "0"),
         ],
         ids=repr,
     )
@@ -266,6 +290,11 @@ class TestWordHelpers:
     def test_word_regex_rejects_nonletters(self):
         with pytest.raises(AlphabetError):
             word_regex("a1")
+
+    @pytest.mark.parametrize("ch", ['"', "\\", "A", "ab", "", "0", " "])
+    def test_symbols_are_single_lowercase_letters(self, ch):
+        with pytest.raises(AlphabetError):
+            Sym(ch)
 
     def test_letters(self):
         assert letters(parse("a(b+c)*")) == frozenset("abc")

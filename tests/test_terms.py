@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from derivrex import (
     to_json,
     word_regex,
 )
-from derivrex.syntax import _INTERNED
+from derivrex.syntax import _INTERNED, _Ref, _drop
 
 A, B = Sym("a"), Sym("b")
 
@@ -116,6 +117,38 @@ def test_threads_building_the_same_terms_get_one_object():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(a is b for other in results[1:] for a, b in zip(results[0], other))
+
+
+class TestInternTable:
+    def test_a_late_callback_leaves_the_live_entry(self):
+        # A term dies and its structure is interned again before the dead
+        # reference's callback runs: the callback must not remove the new,
+        # live entry.
+        live = Concat(Star(Sym("x")), Sym("y"))
+        key = (Concat, id(live.left), id(live.right))
+        dropped = Star(Concat(Sym("y"), Sym("x")))
+        stale = _Ref(dropped, None)
+        stale.key = key
+        del dropped
+        gc.collect()
+        assert stale() is None
+        _drop(stale)
+        assert _INTERNED[key]() is live
+        # Under a key that holds the dead reference, the entry goes.
+        _INTERNED[("stale",)] = stale
+        stale.key = ("stale",)
+        _drop(stale)
+        assert ("stale",) not in _INTERNED
+
+    def test_the_table_holds_no_term(self):
+        t = Star(Concat(Sym("x"), Sym("z")))
+        key = (Star, id(t.inner))
+        probe = weakref.ref(t)
+        assert type(_INTERNED[key]) is _Ref and _INTERNED[key]() is t
+        del t
+        gc.collect()
+        assert probe() is None
+        assert key not in _INTERNED
 
 
 def test_term_order_agrees_with_structural_key(corpus):
