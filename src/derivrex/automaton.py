@@ -161,43 +161,50 @@ def _class_leaders(alpha: tuple[str, ...], p: Regex, q: Regex | None = None) -> 
 def to_dot(d: Dfa) -> str:
     """Graphviz source: doubled borders mark accepting states, an unlabeled
     arrow marks the start, and nodes appear in state order."""
-    lines = [
-        "digraph dfa {",
-        "  rankdir=LR;",
-        '  __start [shape=none,label=""];',
-        f"  __start -> s{d.start};",
-    ]
-    for i, state in enumerate(d.states):
-        shape = "doublecircle" if i in d.accepting else "circle"
-        lines.append(f'  s{i} [shape={shape},label="{render(state)}"];')
-    for i, row in enumerate(d.transitions):
-        for a, j in zip(d.alphabet, row):
-            lines.append(f'  s{i} -> s{j} [label="{a}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    nodes = "".join([
+        f'\n  s{i} [shape={"doublecircle" if i in d.accepting else "circle"},'
+        f'label="{render(state)}"];'
+        for i, state in enumerate(d.states)
+    ])
+    # Each line is led by its newline: over an empty alphabet the rows are
+    # empty, and no blank line is left.
+    edges = "".join([f'\n  s%d -> s%d [label="{a}"];' for a in d.alphabet])
+    return (
+        f'digraph dfa {{\n  rankdir=LR;\n  __start [shape=none,label=""];\n'
+        f"  __start -> s{d.start};{nodes}{edges * len(d.states) % _moves(d)}\n}}"
+    )
 
 
 def to_json(d: Dfa) -> str:
     """Compact JSON document; byte-identical output for equal automata.
 
-    The document is written directly, each array joined from its items,
-    so no dict is built per transition.  Nothing in it needs escaping:
-    symbols are lowercase letters, and render writes only lowercase
-    letters and ``0 1 ( ) + - & *``, so every string is its own JSON text
-    between quotes.
+    The document is written directly, all transitions with one format, so
+    no dict or string is built per transition.  Nothing in it needs
+    escaping: symbols are lowercase letters, and render writes only
+    lowercase letters and ``0 1 ( ) + - & *``, so every string is its own
+    JSON text between quotes.
     """
-    symbols = [f'"{a}"' for a in d.alphabet]
-    states = '","'.join([render(state) for state in d.states])
+    symbols = ",".join([f'"{a}"' for a in d.alphabet])
+    states = '","'.join(map(render, d.states))
     accepting = ",".join(map(str, sorted(d.accepting)))
-    moves = ",".join([
-        f'{{"from":{i},"symbol":{a},"to":{j}}}'
-        for i, row in enumerate(d.transitions)
-        for a, j in zip(symbols, row)
-    ])
+    # Each move ends in a comma, and the last comma is cut: over an empty
+    # alphabet the rows are empty, and so is the list.
+    row = "".join([f'{{"from":%d,"symbol":"{a}","to":%d}},' for a in d.alphabet])
+    moves = (row * len(d.states) % _moves(d))[:-1]
     return (
-        f'{{"alphabet":[{",".join(symbols)}],"states":["{states}"],'
+        f'{{"alphabet":[{symbols}],"states":["{states}"],'
         f'"start":{d.start},"accepting":[{accepting}],"transitions":[{moves}]}}'
     )
+
+
+def _moves(d: Dfa) -> tuple[int, ...]:
+    # The arguments of an export's row template repeated once per state:
+    # (i, j0, i, j1, ...) for each state i, flat.
+    flat: list[int] = []
+    for i, row in enumerate(d.transitions):
+        for j in row:
+            flat += (i, j)
+    return tuple(flat)
 
 
 def from_json(text: str) -> Dfa:

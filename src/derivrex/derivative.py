@@ -12,8 +12,6 @@ from .syntax import (
     EPSILON,
     Concat,
     Diff,
-    Empty,
-    Epsilon,
     Intersect,
     Regex,
     Star,
@@ -57,24 +55,24 @@ def _deriv(a: str, e: Regex) -> Regex:
     d = memo.get(a)
     if d is None:
         match e:
-            case Empty() | Epsilon():
-                d = EMPTY
-            case Sym(ch):
-                d = EPSILON if ch == a else EMPTY
-            case Union(l, r):
+            case Union(l, r) | Intersect(l, r) | Diff(l, r):
                 # A chain nests to the left and can be thousands long, so
                 # derive its prefixes not yet derived by a deepest first:
                 # each then finds the derivative of its left operand kept.
-                spine, node = [], l
-                while type(node) is Union and a not in (node._derivs or ()):
+                cls, spine, node = type(e), [], l
+                while type(node) is cls and a not in (node._derivs or ()):
                     spine.append(node)
                     node = node.left
                 for node in reversed(spine):
                     _deriv(a, node)
+                d, dr = _deriv(a, l), _deriv(a, r)
+                if cls is Intersect:
+                    d = intersect(d, dr)
+                elif cls is Diff:
+                    d = diff(d, dr)
                 # A canonical term is its own union with 0.  union would
                 # sort and look up again every operand of dr when d is 0.
-                d, dr = _deriv(a, l), _deriv(a, r)
-                if d is EMPTY:
+                elif d is EMPTY:
                     d = dr
                 elif dr is not EMPTY:
                     d = union(d, dr)
@@ -85,10 +83,10 @@ def _deriv(a: str, e: Regex) -> Regex:
                     d = union(d, _deriv(a, r))
             case Star(x):
                 d = concat(_deriv(a, x), e)
-            case Intersect(l, r):
-                d = intersect(_deriv(a, l), _deriv(a, r))
-            case Diff(l, r):
-                d = diff(_deriv(a, l), _deriv(a, r))
+            case Sym(ch):
+                d = EPSILON if ch == a else EMPTY
+            case _:  # 0 and 1
+                d = EMPTY
         memo[a] = d
     return d
 
@@ -114,6 +112,14 @@ def classes(e: Regex) -> dict[str, int]:
             case Concat(l, r):
                 m = _meet(classes(l), classes(r)) if l._nullable else classes(l)
             case Intersect(l, r) | Diff(l, r):
+                # A chain nests to the left and can be thousands long, so
+                # take its prefixes' classes deepest first.
+                cls, spine, node = type(e), [], l
+                while type(node) is cls and node._classes is None:
+                    spine.append(node)
+                    node = node.left
+                for node in reversed(spine):
+                    classes(node)
                 m = _meet(classes(l), classes(r))
             case Union():
                 # One block for the symbol operands, refined by each distinct

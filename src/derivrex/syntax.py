@@ -378,17 +378,7 @@ def _body(e: Regex, context: int = 0) -> str:
     text = e._text
     if text is None:
         match e:
-            case Empty():
-                text = "0"
-            case Epsilon():
-                text = "1"
-            case Sym(ch):
-                text = ch
-            case Star(x):
-                text = _body(x, _PREC[Star]) + "*"
-            case Concat(l, r):
-                text = _body(l, _PREC[Star]) + _body(r, _PREC[Concat])
-            case _Binary():
+            case Union() | Intersect() | Diff():  # a DFA's states are mostly unions
                 # A chain nests to the left and can be thousands long, so
                 # walk down to the first prefix already printed (or the
                 # first operand) and join the rest onto it.  Only the top
@@ -398,10 +388,27 @@ def _body(e: Regex, context: int = 0) -> str:
                 while type(node) is cls and node._text is None:
                     rights.append(node.right)
                     node = node.left
+                # An operand's kept text goes in as it is unless it needs
+                # parentheses: one call per state of a DFA rather than one
+                # per operand of its chain.
                 prec = _PREC[cls]
                 parts = [_body(node, prec)]
-                parts += (_body(r, prec + 1) for r in reversed(rights))
+                for r in reversed(rights):
+                    part = r._text
+                    if part is None or _PREC.get(type(r), prec + 1) <= prec:
+                        part = _body(r, prec + 1)
+                    parts.append(part)
                 text = _INFIX_TEXT[cls].join(parts)
+            case Concat(l, r):
+                text = _body(l, _PREC[Star]) + _body(r, _PREC[Concat])
+            case Star(x):
+                text = _body(x, _PREC[Star]) + "*"
+            case Sym(ch):
+                text = ch
+            case Empty():
+                text = "0"
+            case Epsilon():
+                text = "1"
         _setslot(e, "_text", text)
     return f"({text})" if _PREC.get(type(e), context) < context else text
 
@@ -451,32 +458,28 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
     # new ones; the prefix below keeps its nodes, and so the derivatives
     # and texts kept on them.  Appending one operand to a k-wide chain
     # costs one comparison and one node, not a sort and k lookups.
+    one = first is EPSILON
+    node = None if one or first is EMPTY else first
+    if type(node) is cls and node.right is EPSILON:  # 1 stays last
+        node, one = node.left, True
     if len(rest) == 1:
-        # One operand that sorts after first's top goes on top, with no set
-        # and no sort; not when the top is 1, which stays last, or when
-        # first is 0, which goes.  Sorting after a top other than 0 or 1,
-        # the new operand is neither 0 nor 1 itself.
+        # One operand that sorts after the top goes on top (under a 1) with
+        # one comparison, no set and no sort.  A canonical top is not 0 or
+        # 1, so neither is an operand that sorts after it.
         t = rest[0]
-        top = first.right if type(first) is cls else first
-        if (
-            type(t) is not cls
-            and top._key < t._key
-            and top is not EPSILON
-            and top is not EMPTY
-        ):
-            return cls(first, t)
+        top = node.right if type(node) is cls else node
+        if top is not None and type(t) is not cls and top._key < t._key:
+            node = cls(node, t)
+            return cls(node, EPSILON) if one else node
     new: set[Regex] = set()
     for t in rest:
         if type(t) is cls:
             new.update(_operands(t, cls))
         else:
             new.add(t)
-    one = EPSILON in new or first is EPSILON
+    one = one or EPSILON in new
     new.discard(EMPTY)
     new.discard(EPSILON)
-    node = None if first is EMPTY or first is EPSILON else first
-    if type(node) is cls and node.right is EPSILON:
-        node, one = node.left, True
     if new:
         ordered = sorted(new, key=_sort_key)
         low = ordered[0]
@@ -593,6 +596,14 @@ def canonicalize(e: Regex) -> Regex:
             case Intersect():
                 c = intersect(*map(canonicalize, _operands(e, Intersect)))
             case Diff(l, r):
+                # A chain nests to the left and can be thousands long, so
+                # canonicalize its prefixes deepest first.
+                spine, node = [], l
+                while type(node) is Diff and node._canon is None:
+                    spine.append(node)
+                    node = node.left
+                for node in reversed(spine):
+                    canonicalize(node)
                 c = diff(canonicalize(l), canonicalize(r))
             case _:
                 c = e

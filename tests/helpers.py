@@ -259,6 +259,24 @@ def reference_to_json(d):
     return json.dumps(doc, separators=(",", ":"))
 
 
+def reference_to_dot(d):
+    """The Graphviz export written line by line, as a reference for to_dot."""
+    lines = [
+        "digraph dfa {",
+        "  rankdir=LR;",
+        '  __start [shape=none,label=""];',
+        f"  __start -> s{d.start};",
+    ]
+    for i, state in enumerate(d.states):
+        shape = "doublecircle" if i in d.accepting else "circle"
+        lines.append(f'  s{i} [shape={shape},label="{render(state)}"];')
+    for i, row in enumerate(d.transitions):
+        for a, j in zip(d.alphabet, row):
+            lines.append(f'  s{i} -> s{j} [label="{a}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def concat_expansion(w, e, f):
     """Closed form of the word derivative of a concatenation.
 

@@ -9,6 +9,7 @@ import helpers
 from derivrex import (
     AlphabetError,
     AutomatonFormatError,
+    Dfa,
     EquivVerdict,
     StateBudgetError,
     PairBudgetError,
@@ -133,6 +134,10 @@ class TestEquivalent:
             assert v.equal == (enumerate_lang(e, k).words == enumerate_lang(f, k).words)
 
 
+SIGMA = "+".join(string.ascii_lowercase)
+SIGMA_NTH_4 = f"({SIGMA})*a" + f"({SIGMA})" * 4
+
+
 class TestExports:
     def test_dot_shapes_and_labels(self):
         d = build_dfa(parse("0"), "ab")
@@ -168,19 +173,39 @@ class TestExports:
             d = build_dfa(e, alpha)
             assert from_json(to_json(d)) == d
 
-    @pytest.mark.parametrize("alphabet", ["ab", "abcz", "zcba"])
+    # The exports fill one row template per state; over no letters the rows
+    # are empty, and no stray comma or blank line may be left.
+    @pytest.mark.parametrize("alphabet", ["", "ab", "abcz", "zcba"])
     def test_json_is_the_dict_writers_bytes(self, corpus, alphabet):
         for e in corpus:
             d = build_dfa(e, alphabet)
             assert to_json(d) == helpers.reference_to_json(d)
             assert from_json(to_json(d)) == d
 
+    @pytest.mark.parametrize("alphabet", ["", "ab", "abcz", "zcba"])
+    def test_dot_is_the_line_writers_bytes(self, corpus, alphabet):
+        for e in corpus:
+            d = build_dfa(e, alphabet)
+            assert to_dot(d) == helpers.reference_to_dot(d)
+
+    def test_exports_of_two_states_over_no_letters(self):
+        # A closure over no letters has one state, but from_json accepts
+        # more: an empty row repeated must still give an empty list.
+        d = from_json(helpers.reference_to_json(
+            Dfa((parse("a"), parse("1")), (), 0, frozenset({1}), ((), ()))
+        ))
+        assert to_json(d) == helpers.reference_to_json(d)
+        assert to_dot(d) == helpers.reference_to_dot(d)
+
     def test_json_over_26_letters_is_the_dict_writers_bytes(self):
-        sigma = "+".join(string.ascii_lowercase)
-        d = build_dfa(parse(f"({sigma})*a" + f"({sigma})" * 4), string.ascii_lowercase)
+        d = build_dfa(parse(SIGMA_NTH_4), string.ascii_lowercase)
         assert len(d.states) == 32
         assert to_json(d) == helpers.reference_to_json(d)
         assert from_json(to_json(d)) == d
+
+    def test_dot_over_26_letters_is_the_line_writers_bytes(self):
+        d = build_dfa(parse(SIGMA_NTH_4), string.ascii_lowercase)
+        assert to_dot(d) == helpers.reference_to_dot(d)
 
     def test_exports_are_deterministic(self):
         one = build_dfa(parse("a(a+b)*"), "ab")

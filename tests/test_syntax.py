@@ -23,6 +23,7 @@ from derivrex import (
     Union,
     build_dfa,
     canonicalize,
+    equivalent,
     intersect,
     lang_equal_upto,
     letters,
@@ -33,8 +34,12 @@ from derivrex import (
     union,
     word_regex,
 )
+from derivrex.syntax import _INTERNED
 
 A, B, C = Sym("a"), Sym("b"), Sym("c")
+
+# 1,500 distinct 7-letter words over abc, in alphabetical order.
+CHAIN_WORDS = ["".join(p) for p in itertools.product("abc", repeat=7)][:1500]
 
 # A parsed chain of 3,000 operands, far deeper than the interpreter's
 # recursion limit.
@@ -280,6 +285,31 @@ class TestBuildersAgreeWithSetAndSort:
                 assert build(x, y) is reference(x, y)
 
 
+@pytest.mark.parametrize("op,build,reference", BUILDERS)
+class TestBuildersBuildOnlyNewNodes:
+    """Nodes built, counted as the growth of the intern table.  The letters
+    are ones no other test keeps terms over."""
+
+    @staticmethod
+    def count_built(build, *terms):
+        gc.collect()
+        before = len(_INTERNED)
+        got = build(*terms)
+        return got, len(_INTERNED) - before
+
+    def test_one_operand_goes_under_a_top_one(self, op, build, reference):
+        first, t = (canonicalize(parse(x.replace("+", op))) for x in ("m+n+1", "p"))
+        got, built = self.count_built(build, first, t)
+        assert built == 2  # m+n+p and m+n+p+1
+        assert got is reference(first, t)
+
+    def test_a_chain_operand_rebuilds_only_above_its_insertion_point(self, op, build, reference):
+        first, t = (canonicalize(parse(x.replace("+", op))) for x in ("m+n+q+s", "p+r"))
+        got, built = self.count_built(build, first, t)
+        assert built == 4  # m+n is kept; p, q, r and s go on top of it
+        assert got is reference(first, t)
+
+
 class TestWordHelpers:
     def test_word_regex_builds_canonical_literals(self):
         assert word_regex("") == EPSILON
@@ -337,3 +367,32 @@ class TestWideChains:
     def test_wide_intersection_canonicalizes(self):
         e = parse("&".join("ab"[i % 2] + "*" for i in range(3000)))
         assert canonicalize(e) is Intersect(Star(A), Star(B))
+
+    # Chains of 1,500 distinct operands, walked down their left spines by
+    # canonicalize, the derivative and the derivative classes.
+    def test_long_intersection_chain_matches(self):
+        # Words that start with c: a derivative by a or b puts operands
+        # below the unions it makes of the others, and the chain above them
+        # is rebuilt for each, which takes seconds.
+        e = parse("&".join(f"(a+b+c)*{w}" for w in CHAIN_WORDS))
+        for u in ("cb", "ccc"):
+            assert matches(e, u) is all(u.endswith(w) for w in CHAIN_WORDS)
+
+    def test_long_difference_chain_matches(self):
+        e = parse("-".join(f"(a+b+c)*{w}" for w in CHAIN_WORDS))
+        first, rest = CHAIN_WORDS[0], CHAIN_WORDS[1:]
+        for u in ("cb", "b" + first, "b" + CHAIN_WORDS[1]):
+            assert matches(e, u) is (u.endswith(first) and not any(map(u.endswith, rest)))
+
+    @pytest.mark.parametrize(
+        "op,same",
+        [("&", "0"), ("-", f"{CHAIN_WORDS[0]}(a+b+c)*")],
+        ids=["intersection", "difference"],
+    )
+    def test_long_chain_equivalence(self, op, same):
+        # Distinct words of one length begin no word in common, so the
+        # intersection is empty and the difference is its first operand.
+        e = parse(op.join(f"{w}(a+b+c)*" for w in CHAIN_WORDS))
+        assert equivalent(e, e, "abc") == (True, None)
+        assert equivalent(e, parse(same), "abc") == (True, None)
+        assert equivalent(e, parse("a(a+b+c)*"), "abc") == (False, "a")
