@@ -15,7 +15,7 @@ from .automaton import (
     to_dot,
     to_json,
 )
-from .derivative import delta, deriv_sym, deriv_word, matches, nullable
+from .derivative import deriv_sym, deriv_word, matches, nullable
 from .errors import (
     AlphabetError,
     AutomatonFormatError,
@@ -26,7 +26,7 @@ from .errors import (
     QuotientBoundError,
     StateBudgetError,
 )
-from .oracle import LangSample, dump_words, enumerate_lang, lang_equal_upto, quotient
+from .oracle import LangSample, dump_words, enumerate_lang, quotient
 from .syntax import (
     EMPTY,
     EPSILON,
@@ -48,7 +48,6 @@ from .syntax import (
     parse,
     render,
     star,
-    term_order,
     union,
     word_regex,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "build_dfa",
     "canonicalize",
     "concat",
-    "delta",
     "deriv_sym",
     "deriv_word",
     "dfa_accepts",
@@ -92,7 +90,6 @@ __all__ = [
     "equivalent",
     "from_json",
     "intersect",
-    "lang_equal_upto",
     "letters",
     "matches",
     "nullable",
@@ -100,7 +97,6 @@ __all__ = [
     "quotient",
     "render",
     "star",
-    "term_order",
     "to_dot",
     "to_json",
     "union",

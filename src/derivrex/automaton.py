@@ -211,17 +211,21 @@ def from_json(text: str) -> Dfa:
     """Rebuild an automaton from its to_json document.
 
     Raises AutomatonFormatError unless *text* is a JSON object with the
-    fields to_json writes, every index names a state, every symbol is in
-    the alphabet, and there is exactly one transition per state and symbol.
+    fields to_json writes, its lists are JSON arrays, every index names a
+    state, every symbol is in the alphabet, and there is exactly one
+    transition per state and symbol.
     State texts that do not parse raise ParseError.
     """
     import json  # here, so that importing the package does not load it
 
     try:
         doc = json.loads(text)
-        alphabet, texts = tuple(doc["alphabet"]), tuple(doc["states"])
-        start, accepting = doc["start"], tuple(doc["accepting"])
-        moves = [(t["from"], t["symbol"], t["to"]) for t in doc["transitions"]]
+        arrays = [doc[name] for name in ("alphabet", "states", "accepting", "transitions")]
+        start = doc["start"]
+        if not all(type(x) is list for x in arrays):  # "ab" would list a and b
+            raise AutomatonFormatError("alphabet, states, accepting and transitions must be lists")
+        alphabet, texts, accepting, transitions = map(tuple, arrays)
+        moves = [(t["from"], t["symbol"], t["to"]) for t in transitions]
     except json.JSONDecodeError as exc:
         raise AutomatonFormatError(f"not a JSON document: {exc}") from None
     except KeyError as exc:

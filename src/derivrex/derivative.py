@@ -18,7 +18,8 @@ from .syntax import (
     Sym,
     Union,
     Word,
-    _setslot,
+    _set_classes,
+    _set_derivs,
     canonicalize,
     concat,
     diff,
@@ -27,15 +28,15 @@ from .syntax import (
     union,
 )
 
+# _deriv merges the operands' derivatives of a + or & chain in one call
+# once it finds this many prefixes not yet derived; below that, each prefix
+# keeps its own derivative, which a DFA's states share.
+_BATCH = 16
+
 
 def nullable(e: Regex) -> bool:
     """Does the language of *e* contain the empty word?"""
     return e._nullable  # worked out when the node was built
-
-
-def delta(e: Regex) -> Regex:
-    """1 if *e* is nullable, 0 otherwise."""
-    return EPSILON if e._nullable else EMPTY
 
 
 def deriv_sym(a: str, e: Regex) -> Regex:
@@ -51,7 +52,7 @@ def _deriv(a: str, e: Regex) -> Regex:
     memo = e._derivs
     if memo is None:
         memo = {}
-        _setslot(e, "_derivs", memo)
+        _set_derivs(e, memo)
     d = memo.get(a)
     if d is None:
         match e:
@@ -63,19 +64,27 @@ def _deriv(a: str, e: Regex) -> Regex:
                 while type(node) is cls and a not in (node._derivs or ()):
                     spine.append(node)
                     node = node.left
-                for node in reversed(spine):
-                    _deriv(a, node)
-                d, dr = _deriv(a, l), _deriv(a, r)
-                if cls is Intersect:
-                    d = intersect(d, dr)
-                elif cls is Diff:
-                    d = diff(d, dr)
-                # A canonical term is its own union with 0.  union would
-                # sort and look up again every operand of dr when d is 0.
-                elif d is EMPTY:
-                    d = dr
-                elif dr is not EMPTY:
-                    d = union(d, dr)
+                if len(spine) >= _BATCH and cls is not Diff:
+                    # Merge all their operands' derivatives at once; only e
+                    # keeps the result.  Pairwise, each one that sorts below
+                    # those merged so far rebuilds the chain above it.
+                    drs = [_deriv(a, x.right) for x in spine]
+                    build = union if cls is Union else intersect
+                    d = build(_deriv(a, node), *drs, _deriv(a, r))
+                else:
+                    for node in reversed(spine):
+                        _deriv(a, node)
+                    d, dr = _deriv(a, l), _deriv(a, r)
+                    if cls is Intersect:
+                        d = intersect(d, dr)
+                    elif cls is Diff:
+                        d = diff(d, dr)
+                    # A canonical term is its own union with 0.  union would
+                    # sort and look up again every operand of dr when d is 0.
+                    elif d is EMPTY:
+                        d = dr
+                    elif dr is not EMPTY:
+                        d = union(d, dr)
             case Concat(l, r):
                 # The second summand, delta(l) D_a(r), is 0 unless l is nullable.
                 d = concat(_deriv(a, l), r)
@@ -137,7 +146,7 @@ def classes(e: Regex) -> dict[str, int]:
                     m = _meet(m, part)
             case _:
                 m = {}
-        _setslot(e, "_classes", m)
+        _set_classes(e, m)
     return m
 
 

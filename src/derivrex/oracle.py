@@ -114,12 +114,6 @@ def quotient(s: LangSample, a: str) -> LangSample:
     )
 
 
-def lang_equal_upto(e: Regex, f: Regex, k: int, cap: int = DEFAULT_CAP) -> bool:
-    """Do *e* and *f* agree on every word of length at most *k*?"""
-    memo: dict = {}
-    return _slice(e, k, cap, memo) == _slice(f, k, cap, memo)
-
-
 def dump_words(s: LangSample) -> str:
     """One word per line in lexicographic order; the empty word is an empty line."""
     return "".join(w + "\n" for w in sorted(s.words))

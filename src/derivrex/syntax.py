@@ -26,10 +26,9 @@ nested stars, which keeps the set of derivatives of any term finite.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from operator import attrgetter
+from operator import and_, attrgetter, gt, or_
 from typing import Callable, Iterable
 
 from .errors import AlphabetError, ParseError
@@ -55,7 +54,6 @@ class Regex:
         "_key", "_nullable", "_canon", "_derivs", "_classes", "_text", "__weakref__"
     )
     __match_args__: tuple[str, ...] = ()
-    _setters: tuple  # the fields' slot setters, in __match_args__ order
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} terms are immutable")
@@ -66,12 +64,85 @@ class Regex:
     def __repr__(self) -> str:
         return f"<regex {render(self)}>"
 
-    def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
-
     def __reduce__(self):
         # Copies and unpickled terms go back through the intern table.
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Empty(Regex):
+    """The empty language, written ``0``."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> Regex:
+        return EMPTY
+
+
+class Epsilon(Regex):
+    """The language containing only the empty word, written ``1``."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> Regex:
+        return EPSILON
+
+
+class Sym(Regex):
+    """A single symbol."""
+
+    __slots__ = ("ch",)
+    __match_args__ = ("ch",)
+
+    def __new__(cls, ch: str) -> Regex:
+        return _sym(ch)
+
+
+class Star(Regex):
+    """Kleene star."""
+
+    __slots__ = ("inner",)
+    __match_args__ = ("inner",)
+
+    def __new__(cls, inner: Regex) -> Regex:
+        return _star(inner)
+
+
+class _Binary(Regex):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+    _tag: int  # rank in the term order
+    _null: Callable[[bool, bool], bool]  # nullability from the operands'
+
+    def __new__(cls, left: Regex, right: Regex) -> Regex:
+        return _node(cls, left, right)
+
+
+class Concat(_Binary):
+    """Concatenation."""
+
+    __slots__ = ()
+    _tag, _null = 4, and_
+
+
+class Intersect(_Binary):
+    """Intersection, written ``&``."""
+
+    __slots__ = ()
+    _tag, _null = 5, and_
+
+
+class Diff(_Binary):
+    """Difference, written ``-``."""
+
+    __slots__ = ()
+    _tag, _null = 6, gt  # left and not right
+
+
+class Union(_Binary):
+    """Union, written ``+``."""
+
+    __slots__ = ()
+    _tag, _null = 7, or_
 
 
 # The intern table maps a class and the identities of its fields to a weak
@@ -83,13 +154,11 @@ class Regex:
 #
 # The table is a plain dict of keyed weak references, not a
 # WeakValueDictionary, so neither a lookup nor an insertion runs a Python
-# frame.  A reference removes its own entry when its term dies, with the
-# same atomic removal WeakValueDictionary uses: the entry goes only if it
-# still holds a dead reference, so a late callback never removes the live
-# term interned since under the same key.
+# frame of the table.  A reference removes its own entry when its term
+# dies, with the same atomic removal WeakValueDictionary uses: the entry
+# goes only if it still holds a dead reference, so a late callback never
+# removes a live term published since under the same key.
 _INTERNED: dict[tuple, _Ref] = {}
-_INTERN_LOCK = threading.Lock()
-_setslot = object.__setattr__
 
 
 class _Ref(weakref.ref):
@@ -102,137 +171,76 @@ def _drop(ref: _Ref, table: dict = _INTERNED, remove=_remove_dead_weakref) -> No
     remove(table, ref.key)
 
 
-# Regex.__setattr__ refuses every assignment, so _intern fills the slots
-# of a new node through their descriptors' setters, bound once here and,
-# for the fields, once per class in Regex.__init_subclass__.
+# Regex.__setattr__ refuses every assignment, so slots are filled through
+# their descriptors' setters, bound once here.  The builders call the
+# constructors below directly, and the classes only delegate to them.
 _set_key, _set_nullable, _set_canon, _set_derivs, _set_classes, _set_text = (
     getattr(Regex, name).__set__
     for name in ("_key", "_nullable", "_canon", "_derivs", "_classes", "_text")
 )
+_set_ch, _set_inner = Sym.ch.__set__, Star.inner.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _new = object.__new__
 
 
-def _intern(cls: type, key: tuple, order: tuple, nullable: bool, *fields) -> Regex:
-    # Called after a lookup missed.  The lookup is repeated under the lock
-    # so that threads racing to build one term agree on one object.
-    with _INTERN_LOCK:
-        ref = _INTERNED.get(key)
-        node = ref and ref()
-        if node is None:
-            node = _new(cls)
-            for setter, value in zip(cls._setters, fields):
-                setter(node, value)
-            _set_key(node, order)
-            _set_nullable(node, nullable)
-            _set_canon(node, None)
-            _set_derivs(node, None)
-            _set_classes(node, None)
-            _set_text(node, None)
-            ref = _Ref(node, _drop)
-            ref.key = key
-            _INTERNED[key] = ref
+def _publish(node: Regex, key: tuple, order: tuple, nullable: bool) -> Regex:
+    # Completes a node whose fields are set and returns the live term under
+    # key.  No lock: a key holds a class and ints or a letter, so setdefault
+    # runs no Python code and is atomic; a node that loses a race dies.
+    _set_key(node, order)
+    _set_nullable(node, nullable)
+    _set_canon(node, None)
+    _set_derivs(node, None)
+    _set_classes(node, None)
+    _set_text(node, None)
+    ref = _Ref(node, _drop)
+    ref.key = key
+    while (held := _INTERNED.setdefault(key, ref)) is not ref:
+        term = held()
+        if term is not None:
+            return term
+        _remove_dead_weakref(_INTERNED, key)  # its callback has yet to run
     return node
 
 
-class Empty(Regex):
-    """The empty language, written ``0``."""
-
-    __slots__ = ()
-
-    def __new__(cls) -> Regex:
-        ref = _INTERNED.get((cls,))
-        return ref and ref() or _intern(cls, (cls,), (0,), False)
-
-
-class Epsilon(Regex):
-    """The language containing only the empty word, written ``1``."""
-
-    __slots__ = ()
-
-    def __new__(cls) -> Regex:
-        ref = _INTERNED.get((cls,))
-        return ref and ref() or _intern(cls, (cls,), (1,), True)
+def _sym(ch: str) -> Regex:
+    key = (Sym, ch)
+    ref = _INTERNED.get(key)
+    node = ref and ref()
+    if node is None:
+        require_symbol(ch)  # to_json writes printed terms without escaping
+        node = _new(Sym)
+        _set_ch(node, ch)
+        node = _publish(node, key, (2, ch), False)
+    return node
 
 
-class Sym(Regex):
-    """A single symbol."""
-
-    __slots__ = ("ch",)
-    __match_args__ = ("ch",)
-
-    def __new__(cls, ch: str) -> Regex:
-        key = (cls, ch)
-        ref = _INTERNED.get(key)
-        if ref is None:  # to_json writes printed terms without escaping
-            require_symbol(ch)
-        return ref and ref() or _intern(cls, key, (2, ch), False, ch)
+def _star(inner: Regex) -> Regex:
+    key = (Star, id(inner))
+    ref = _INTERNED.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _new(Star)
+        _set_inner(node, inner)
+        node = _publish(node, key, (3, inner._key), True)
+    return node
 
 
-class Star(Regex):
-    """Kleene star."""
-
-    __slots__ = ("inner",)
-    __match_args__ = ("inner",)
-
-    def __new__(cls, inner: Regex) -> Regex:
-        key = (cls, id(inner))
-        ref = _INTERNED.get(key)
-        return ref and ref() or _intern(cls, key, (3, inner._key), True, inner)
-
-
-class _Binary(Regex):
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
-    _tag: int  # rank in the term order
-    _null: Callable[[bool, bool], bool]  # nullability from the operands'
-
-    def __new__(cls, left: Regex, right: Regex) -> Regex:
-        key = (cls, id(left), id(right))
-        ref = _INTERNED.get(key)
-        return ref and ref() or _intern(
-            cls,
-            key,
-            (cls._tag, left._key, right._key),
-            cls._null(left._nullable, right._nullable),
-            left,
-            right,
-        )
+def _node(cls: type, left: Regex, right: Regex) -> Regex:
+    key = (cls, id(left), id(right))
+    ref = _INTERNED.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _new(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        order = (cls._tag, left._key, right._key)
+        node = _publish(node, key, order, cls._null(left._nullable, right._nullable))
+    return node
 
 
-class Concat(_Binary):
-    """Concatenation."""
-
-    __slots__ = ()
-    _tag = 4
-    _null = staticmethod(lambda left, right: left and right)
-
-
-class Intersect(_Binary):
-    """Intersection, written ``&``."""
-
-    __slots__ = ()
-    _tag = 5
-    _null = staticmethod(lambda left, right: left and right)
-
-
-class Diff(_Binary):
-    """Difference, written ``-``."""
-
-    __slots__ = ()
-    _tag = 6
-    _null = staticmethod(lambda left, right: left and not right)
-
-
-class Union(_Binary):
-    """Union, written ``+``."""
-
-    __slots__ = ()
-    _tag = 7
-    _null = staticmethod(lambda left, right: left or right)
-
-
-EMPTY = Empty()
-EPSILON = Epsilon()
+EMPTY: Regex = _publish(_new(Empty), (Empty,), (0,), False)
+EPSILON: Regex = _publish(_new(Epsilon), (Epsilon,), (1,), True)
 
 
 def require_symbol(ch: str) -> None:
@@ -272,13 +280,9 @@ def letters(e: Regex) -> frozenset[str]:
 
 def word_regex(w: Word) -> Regex:
     """The literal term whose language is exactly {w}, in canonical form."""
-    for ch in w:
-        require_symbol(ch)
-    if not w:
-        return EPSILON
-    node: Regex = Sym(w[-1])
-    for ch in reversed(w[:-1]):
-        node = Concat(Sym(ch), node)
+    node = EPSILON
+    for ch in reversed(w):  # _sym refuses non-letters
+        node = _sym(ch) if node is EPSILON else _node(Concat, _sym(ch), node)
     return node
 
 
@@ -313,7 +317,7 @@ def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
         # least as tightly as prec, topmost first.
         while pending and pending[-1] is not None and _PREC[pending[-1]] >= prec:
             right = operands.pop()
-            operands[-1] = pending.pop()(operands[-1], right)
+            operands[-1] = _node(pending.pop(), operands[-1], right)
 
     while True:
         while pos < end and text[pos].isspace():
@@ -332,7 +336,7 @@ def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
                     raise AlphabetError(
                         f"symbol {ch!r} at position {pos} is not in the alphabet"
                     )
-                operands.append(Sym(ch))
+                operands.append(_sym(ch))
             elif ch:
                 raise ParseError(f"unexpected {ch!r}", pos)
             else:
@@ -344,7 +348,7 @@ def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
             pending.append(op)
             want_operand = True
         elif ch == "*":
-            operands[-1] = Star(operands[-1])
+            operands[-1] = _star(operands[-1])
         elif ch == ")" and depth:
             fold(0)
             pending.pop()
@@ -409,7 +413,7 @@ def _body(e: Regex, context: int = 0) -> str:
                 text = "0"
             case Epsilon():
                 text = "1"
-        _setslot(e, "_text", text)
+        _set_text(e, text)
     return f"({text})" if _PREC.get(type(e), context) < context else text
 
 
@@ -418,18 +422,10 @@ def _body(e: Regex, context: int = 0) -> str:
 #
 # Every node carries its sort key, built at construction from the keys of
 # its children: (rank,) for 0 and 1, (rank, letter) for a symbol, and
-# (rank, child keys...) otherwise.  The order is structural, so it does not
+# (rank, child keys...) otherwise.  Constructors rank 0 < 1 < symbol < star
+# < concatenation < intersection < difference < union, and ties are broken
+# by the fields left to right.  The order is structural, so it does not
 # depend on the order in which terms were interned.
-
-
-def term_order(a: Regex, b: Regex) -> int:
-    """Three-way comparison defining a strict total order on terms.
-
-    Constructors rank 0 < 1 < symbol < star < concatenation < intersection
-    < difference < union; ties are broken by comparing fields left to right.
-    """
-    ka, kb = a._key, b._key
-    return (ka > kb) - (ka < kb)
 
 
 _sort_key = attrgetter("_key")
@@ -469,8 +465,8 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
         t = rest[0]
         top = node.right if type(node) is cls else node
         if top is not None and type(t) is not cls and top._key < t._key:
-            node = cls(node, t)
-            return cls(node, EPSILON) if one else node
+            node = _node(cls, node, t)
+            return _node(cls, node, EPSILON) if one else node
     new: set[Regex] = set()
     for t in rest:
         if type(t) is cls:
@@ -502,9 +498,9 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
             merged.append(x)
         merged += reversed(olds)
         for x in merged:
-            node = x if node is None else cls(node, x)
+            node = x if node is None else _node(cls, node, x)
     if one:
-        node = EPSILON if node is None else cls(node, EPSILON)
+        node = EPSILON if node is None else _node(cls, node, EPSILON)
     return node
 
 
@@ -542,7 +538,7 @@ def concat(left: Regex, right: Regex) -> Regex:
     node = right
     for part in reversed(parts):
         if part is not EPSILON:
-            node = part if node is EPSILON else Concat(part, node)
+            node = part if node is EPSILON else _node(Concat, part, node)
     return node
 
 
@@ -552,7 +548,7 @@ def star(inner: Regex) -> Regex:
         return EPSILON
     if isinstance(inner, Star):
         return inner
-    return Star(inner)
+    return _star(inner)
 
 
 def intersect(first: Regex, *rest: Regex) -> Regex:
@@ -572,7 +568,7 @@ def diff(left: Regex, right: Regex) -> Regex:
         return left
     if left is right:
         return EMPTY
-    return Diff(left, right)
+    return _node(Diff, left, right)
 
 
 def canonicalize(e: Regex) -> Regex:
@@ -608,6 +604,6 @@ def canonicalize(e: Regex) -> Regex:
             case _:
                 c = e
         if c is not e:
-            _setslot(e, "_canon", c)
-        _setslot(c, "_canon", True)
+            _set_canon(e, c)
+        _set_canon(c, True)
     return c

@@ -28,9 +28,9 @@ from derivrex import (
     Union,
     canonicalize,
     concat,
-    delta,
     deriv_sym,
     deriv_word,
+    enumerate_lang,
     nullable,
     parse,
     render,
@@ -114,6 +114,22 @@ def regexes(alphabet="ab", max_leaves=8):
         )
 
     return st.recursive(leaves, compound, max_leaves=max_leaves)
+
+
+def term_order(a, b):
+    """Three-way comparison of two terms by the sort keys they carry."""
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
+
+
+def delta(e):
+    """1 if e is nullable, 0 otherwise."""
+    return EPSILON if nullable(e) else EMPTY
+
+
+def lang_equal_upto(e, f, k):
+    """Do e and f agree on every word of length at most k?"""
+    return enumerate_lang(e, k).words == enumerate_lang(f, k).words
 
 
 def term_key(e):

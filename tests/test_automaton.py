@@ -244,6 +244,18 @@ class TestFromJsonErrors:
             pytest.param(_broken(_set(["transitions", 0, "symbol"], "c")), id="symbol-outside-alphabet"),
             pytest.param(_broken(lambda doc: doc["transitions"].pop()), id="not-total"),
             pytest.param(_broken(_set(["transitions", 1, "symbol"], "a")), id="two-moves-one-symbol"),
+            # Strings and objects where arrays belong: iterated, "ab" would
+            # list the states a and b.
+            pytest.param(_broken(_set(["alphabet"], "ab")), id="alphabet-a-string"),
+            pytest.param(
+                '{"alphabet":"a","states":"ab","start":0,"accepting":[],"transitions":'
+                '[{"from":0,"symbol":"a","to":1},{"from":1,"symbol":"a","to":1}]}',
+                id="states-a-string",
+            ),
+            pytest.param(_broken(_set(["accepting"], "1")), id="accepting-a-string"),
+            pytest.param(_broken(_set(["accepting"], {"1": 1})), id="accepting-an-object"),
+            pytest.param(_broken(_set(["transitions"], {})), id="transitions-an-object"),
+            pytest.param(_broken(_set(["transitions"], "")), id="transitions-a-string"),
         ],
     )
     def test_rejected(self, text):

@@ -18,11 +18,9 @@ from derivrex import (
     Sym,
     Union,
     canonicalize,
-    delta,
     deriv_sym,
     deriv_word,
     enumerate_lang,
-    lang_equal_upto,
     matches,
     nullable,
     parse,
@@ -62,9 +60,9 @@ class TestNullable:
         assert nullable(e) == ("" in enumerate_lang(e, 0).words)
 
     def test_delta_is_a_unit(self):
-        assert delta(parse("a*")) == EPSILON
-        assert delta(parse("a")) == EMPTY
-        assert delta(parse("1+ab")) == EPSILON
+        assert helpers.delta(parse("a*")) == EPSILON
+        assert helpers.delta(parse("a")) == EMPTY
+        assert helpers.delta(parse("1+ab")) == EPSILON
 
 
 class TestDerivSym:
@@ -170,7 +168,7 @@ class TestConcatExpansion:
         st.text(alphabet="ab", min_size=1, max_size=4),
     )
     def test_agrees_with_stepwise_derivation(self, e, f, w):
-        assert lang_equal_upto(
+        assert helpers.lang_equal_upto(
             deriv_word(w, Concat(e, f)), helpers.concat_expansion(w, e, f), 5
         )
 
@@ -193,7 +191,7 @@ class TestStarExpansion:
 
     @given(helpers.regexes(max_leaves=5), st.text(alphabet="ab", min_size=1, max_size=4))
     def test_agrees_with_stepwise_derivation(self, e, w):
-        assert lang_equal_upto(deriv_word(w, Star(e)), helpers.star_expansion(w, e), 5)
+        assert helpers.lang_equal_upto(deriv_word(w, Star(e)), helpers.star_expansion(w, e), 5)
 
 
 class TestUnionAndBooleanLaws:
@@ -205,7 +203,7 @@ class TestUnionAndBooleanLaws:
     def test_derivative_distributes_over_union(self, e, f, w):
         lhs = deriv_word(w, Union(e, f))
         rhs = Union(deriv_word(w, e), deriv_word(w, f))
-        assert lang_equal_upto(lhs, rhs, 5)
+        assert helpers.lang_equal_upto(lhs, rhs, 5)
 
     @given(helpers.regexes(max_leaves=5), helpers.regexes(max_leaves=5), st.sampled_from("ab"))
     def test_derivative_distributes_over_intersection(self, e, f, a):

@@ -17,7 +17,6 @@ from derivrex import (
     deriv_word,
     dump_words,
     enumerate_lang,
-    lang_equal_upto,
     matches,
     parse,
     quotient,
@@ -128,7 +127,7 @@ class TestLangEqual:
         ],
     )
     def test_examples(self, lhs, rhs, k, expected):
-        assert lang_equal_upto(parse(lhs), parse(rhs), k) is expected
+        assert helpers.lang_equal_upto(parse(lhs), parse(rhs), k) is expected
 
 
 class TestDump:

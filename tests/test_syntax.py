@@ -3,6 +3,7 @@
 import gc
 import itertools
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -23,18 +24,17 @@ from derivrex import (
     Union,
     build_dfa,
     canonicalize,
+    deriv_sym,
     equivalent,
     intersect,
-    lang_equal_upto,
     letters,
     matches,
     parse,
     render,
-    term_order,
     union,
     word_regex,
 )
-from derivrex.syntax import _INTERNED
+from derivrex.syntax import _INTERNED, _operands
 
 A, B, C = Sym("a"), Sym("b"), Sym("c")
 
@@ -157,18 +157,18 @@ class TestRender:
 
 class TestTermOrder:
     def test_empty_before_epsilon(self):
-        assert term_order(EMPTY, EPSILON) < 0
+        assert helpers.term_order(EMPTY, EPSILON) < 0
 
     def test_symbols_compare_by_letter(self):
-        assert term_order(A, B) < 0
+        assert helpers.term_order(A, B) < 0
 
     def test_reflexive_terms_tie(self):
-        assert term_order(Star(A), Star(A)) == 0
+        assert helpers.term_order(Star(A), Star(A)) == 0
 
     @given(helpers.regexes(max_leaves=5), helpers.regexes(max_leaves=5))
     def test_antisymmetric(self, a, b):
-        assert term_order(a, b) == -term_order(b, a)
-        if term_order(a, b) == 0:
+        assert helpers.term_order(a, b) == -helpers.term_order(b, a)
+        if helpers.term_order(a, b) == 0:
             assert a == b
 
     @given(
@@ -177,8 +177,8 @@ class TestTermOrder:
         helpers.regexes(max_leaves=4),
     )
     def test_transitive(self, a, b, c):
-        if term_order(a, b) <= 0 and term_order(b, c) <= 0:
-            assert term_order(a, c) <= 0
+        if helpers.term_order(a, b) <= 0 and helpers.term_order(b, c) <= 0:
+            assert helpers.term_order(a, c) <= 0
 
 
 class TestCanonicalize:
@@ -227,7 +227,7 @@ class TestCanonicalize:
 
     @given(helpers.regexes(max_leaves=6))
     def test_language_preserving(self, e):
-        assert lang_equal_upto(e, canonicalize(e), 4)
+        assert helpers.lang_equal_upto(e, canonicalize(e), 4)
 
 
 BUILDERS = [
@@ -396,3 +396,31 @@ class TestWideChains:
         assert equivalent(e, e, "abc") == (True, None)
         assert equivalent(e, parse(same), "abc") == (True, None)
         assert equivalent(e, parse("a(a+b+c)*"), "abc") == (False, "a")
+
+    # Words that start with a, b and c alike: the derivative by a of an
+    # a-word's operand is a union, which sorts after the derivatives of the
+    # b- and c-words' operands.  Merged in one at a time, each of those
+    # rebuilt the chain above it: 268,312 nodes for + and 564,286 for &.
+    @pytest.mark.parametrize(
+        "op,reference",
+        [("+", helpers.reference_union), ("&", helpers.reference_intersect)],
+        ids=["union", "intersection"],
+    )
+    def test_long_chain_derivative_builds_few_nodes(self, op, reference):
+        e = canonicalize(parse(op.join(f"(a+b+c)*{w}" for w in CHAIN_WORDS)))
+        gc.collect()
+        before = len(_INTERNED)
+        d = deriv_sym("a", e)
+        assert len(_INTERNED) - before < 5_000  # 2,957 for + and 2,228 for &
+        cls = Union if op == "+" else Intersect
+        assert d is reference(*(deriv_sym("a", x) for x in _operands(e, cls)))
+
+    @pytest.mark.parametrize("op,verdict", [("+", any), ("&", all)], ids=["union", "intersection"])
+    def test_long_chain_matches_in_time(self, op, verdict):
+        e = parse(op.join(f"(a+b+c)*{w}" for w in CHAIN_WORDS))
+        started = time.perf_counter()
+        for u in ("abcabca", "bcaacba"):
+            assert matches(e, u) is verdict(u.endswith(w) for w in CHAIN_WORDS)
+        # About 0.6 s; a union merged in one operand at a time took 78 s
+        # for the first word alone.
+        assert time.perf_counter() - started < 10.0

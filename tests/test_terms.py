@@ -27,15 +27,16 @@ from derivrex import (
     Union,
     build_dfa,
     canonicalize,
+    enumerate_lang,
     matches,
+    nullable,
     parse,
     render,
-    term_order,
     to_dot,
     to_json,
     word_regex,
 )
-from derivrex.syntax import _INTERNED, _Ref, _drop
+from derivrex.syntax import _INTERNED, _Ref, _drop, _publish
 
 A, B = Sym("a"), Sym("b")
 
@@ -140,6 +141,35 @@ class TestInternTable:
         _drop(stale)
         assert ("stale",) not in _INTERNED
 
+    def test_a_dead_reference_under_the_key_is_replaced(self):
+        # A term died and its reference's callback has not run yet when the
+        # same structure is built again: the new term takes the entry.
+        x, z = Star(Sym("x")), Sym("z")
+        key = (Concat, id(x), id(z))
+        assert key not in _INTERNED
+        dropped = Star(Concat(Sym("z"), Sym("x")))
+        parked = _Ref(dropped, None)
+        parked.key = key
+        del dropped
+        gc.collect()
+        assert parked() is None
+        _INTERNED[key] = parked
+        t = Concat(x, z)
+        assert (t.left, t.right) == (x, z)
+        assert _INTERNED[key]() is t
+        # The parked reference's callback, run late, leaves the live entry.
+        _drop(parked)
+        assert _INTERNED[key]() is t
+
+    def test_a_node_that_loses_the_race_to_publish_gets_the_live_term(self):
+        live = Concat(Sym("x"), Star(Sym("z")))
+        key = (Concat, id(live.left), id(live.right))
+        twin = object.__new__(Concat)
+        assert _publish(twin, key, live._key, live._nullable) is live
+        del twin
+        gc.collect()
+        assert _INTERNED[key]() is live
+
     def test_the_table_holds_no_term(self):
         t = Star(Concat(Sym("x"), Sym("z")))
         key = (Star, id(t.inner))
@@ -151,12 +181,32 @@ class TestInternTable:
         assert key not in _INTERNED
 
 
+# Whether l r is nullable, for l and r each one of 0, 1, a and a*, in that
+# order: one string per l, one digit per r.
+NULLABLE = {
+    Concat: ["0000", "0101", "0000", "0101"],
+    Intersect: ["0000", "0101", "0000", "0101"],
+    Diff: ["0000", "1010", "0000", "1010"],
+    Union: ["0101", "1111", "0101", "1111"],
+}
+
+
+@pytest.mark.parametrize("cls", list(NULLABLE), ids=lambda cls: cls.__name__)
+def test_nullability_of_the_binary_classes(cls):
+    operands = [EMPTY, EPSILON, A, Star(A)]
+    for l, row in zip(operands, NULLABLE[cls]):
+        for r, digit in zip(operands, row):
+            t = cls(l, r)
+            assert nullable(t) is (digit == "1")
+            assert nullable(t) is ("" in enumerate_lang(t, 0).words)
+
+
 def test_term_order_agrees_with_structural_key(corpus):
     terms = list(corpus) + [canonicalize(e) for e in corpus]
     keys = [helpers.term_key(t) for t in terms]
     for a, ka in zip(terms, keys):
         for b, kb in zip(terms, keys):
-            assert term_order(a, b) == (ka > kb) - (ka < kb)
+            assert helpers.term_order(a, b) == (ka > kb) - (ka < kb)
 
 
 def test_dropped_automata_release_their_terms():
