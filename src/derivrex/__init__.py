@@ -49,7 +49,6 @@ from .syntax import (
     render,
     star,
     union,
-    word_regex,
 )
 
 __version__ = "0.1.0"
@@ -100,5 +99,4 @@ __all__ = [
     "to_dot",
     "to_json",
     "union",
-    "word_regex",
 ]

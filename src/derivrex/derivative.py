@@ -18,19 +18,21 @@ from .syntax import (
     Sym,
     Union,
     Word,
+    _BUILD,
+    _bottom_up,
     _set_classes,
     _set_derivs,
     canonicalize,
     concat,
-    diff,
-    intersect,
     require_symbol,
     union,
 )
 
 # _deriv merges the operands' derivatives of a + or & chain in one call
-# once it finds this many prefixes not yet derived; below that, each prefix
-# keeps its own derivative, which a DFA's states share.
+# once it finds this many prefixes not yet derived, and only the top keeps
+# the result; below that, each prefix keeps its own derivative, which a
+# DFA's states share.  A - chain is not a set of operands, so it stays
+# pairwise.
 _BATCH = 16
 
 
@@ -50,53 +52,51 @@ def _deriv(a: str, e: Regex) -> Regex:
     # the result canonical.  Results are kept on e, one per symbol.  Callers
     # check a first: deriv_word takes every key it finds as a valid symbol.
     memo = e._derivs
-    if memo is None:
-        memo = {}
-        _set_derivs(e, memo)
-    d = memo.get(a)
-    if d is None:
-        match e:
-            case Union(l, r) | Intersect(l, r) | Diff(l, r):
-                # A chain nests to the left and can be thousands long, so
-                # derive its prefixes not yet derived by a deepest first:
-                # each then finds the derivative of its left operand kept.
-                cls, spine, node = type(e), [], l
-                while type(node) is cls and a not in (node._derivs or ()):
-                    spine.append(node)
-                    node = node.left
-                if len(spine) >= _BATCH and cls is not Diff:
-                    # Merge all their operands' derivatives at once; only e
-                    # keeps the result.  Pairwise, each one that sorts below
-                    # those merged so far rebuilds the chain above it.
-                    drs = [_deriv(a, x.right) for x in spine]
-                    build = union if cls is Union else intersect
-                    d = build(_deriv(a, node), *drs, _deriv(a, r))
-                else:
-                    for node in reversed(spine):
-                        _deriv(a, node)
-                    d, dr = _deriv(a, l), _deriv(a, r)
-                    if cls is Intersect:
-                        d = intersect(d, dr)
-                    elif cls is Diff:
-                        d = diff(d, dr)
-                    # A canonical term is its own union with 0.  union would
-                    # sort and look up again every operand of dr when d is 0.
-                    elif d is EMPTY:
-                        d = dr
-                    elif dr is not EMPTY:
-                        d = union(d, dr)
-            case Concat(l, r):
-                # The second summand, delta(l) D_a(r), is 0 unless l is nullable.
-                d = concat(_deriv(a, l), r)
-                if l._nullable:
-                    d = union(d, _deriv(a, r))
-            case Star(x):
-                d = concat(_deriv(a, x), e)
-            case Sym(ch):
-                d = EPSILON if ch == a else EMPTY
-            case _:  # 0 and 1
-                d = EMPTY
-        memo[a] = d
+    return memo and memo.get(a) or _bottom_up(e, _deriv_step, a)
+
+
+def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
+    # The _bottom_up step of _deriv: e's derivative by a from its
+    # children's, or the children not yet derived by a.
+    cls, kids, dr = type(e), (), None
+    try:
+        if cls is Union or cls is Intersect or cls is Diff:
+            # Count the chain's prefixes not yet derived (see _BATCH).  Merged
+            # pairwise, each operand's derivative that sorts below those
+            # merged so far rebuilds the chain above it.
+            kids, node = [], e.left
+            while type(node) is cls and a not in (node._derivs or ()):
+                kids.append(node.right)
+                node = node.left
+            if len(kids) >= _BATCH and cls is not Diff:
+                kids = [node, *kids, e.right]
+                d = _BUILD[cls](*[x._derivs[a] for x in kids])
+            else:
+                kids = (e.left, e.right)
+                d, dr = e.left._derivs[a], e.right._derivs[a]
+                if cls is not Union:
+                    d, dr = _BUILD[cls](d, dr), None
+        elif cls is Concat:  # delta(l) D_a(r) is 0 unless l is nullable
+            kids = (e.left, e.right) if e.left._nullable else (e.left,)
+            dr = e.right._derivs[a] if e.left._nullable else EMPTY
+            d = concat(e.left._derivs[a], e.right)
+        elif cls is Star:
+            kids = (e.inner,)
+            d = concat(e.inner._derivs[a], e)
+        else:
+            d = EPSILON if cls is Sym and e.ch == a else EMPTY
+    except (KeyError, TypeError):  # not derived yet, or no table yet
+        todo = [x for x in kids if a not in (x._derivs or ())]
+        if todo:
+            return todo
+        raise
+    if dr is not None:
+        # A canonical term is its own union with 0, which union would take
+        # apart and sort.
+        d = dr if d is EMPTY else d if dr is EMPTY else union(d, dr)
+    if e._derivs is None:
+        _set_derivs(e, {})
+    e._derivs[a] = d
     return d
 
 
@@ -112,41 +112,34 @@ def classes(e: Regex) -> dict[str, int]:
     rather than 26.  The map is kept on the node.
     """
     m = e._classes
-    if m is None:
-        match e:
-            case Sym(ch):
-                m = {ch: 0}
-            case Star(x):
-                m = classes(x)
-            case Concat(l, r):
-                m = _meet(classes(l), classes(r)) if l._nullable else classes(l)
-            case Intersect(l, r) | Diff(l, r):
-                # A chain nests to the left and can be thousands long, so
-                # take its prefixes' classes deepest first.
-                cls, spine, node = type(e), [], l
-                while type(node) is cls and node._classes is None:
-                    spine.append(node)
-                    node = node.left
-                for node in reversed(spine):
-                    classes(node)
-                m = _meet(classes(l), classes(r))
-            case Union():
-                # One block for the symbol operands, refined by each distinct
-                # map of the others (operands often share one map object:
-                # ab, a* and a all keep a's).
-                m, parts, rest = {}, {}, e
-                while rest is not None:  # a canonical chain nests to the left
-                    x, rest = (rest.right, rest.left) if type(rest) is Union else (rest, None)
-                    if type(x) is Sym:
-                        m[x.ch] = 0
-                    else:
-                        part = classes(x)
-                        parts[id(part)] = part
-                for part in parts.values():
-                    m = _meet(m, part)
-            case _:
-                m = {}
-        _set_classes(e, m)
+    return m if m is not None else _bottom_up(e, _classes_step)
+
+
+def _classes_step(e: Regex, _=None) -> dict[str, int] | list[Regex]:
+    # The _bottom_up step of classes: the meet of the children's maps, or
+    # the children whose maps are missing.  A union's symbol operands form
+    # one block before the others refine it.
+    cls = type(e)
+    m = {e.ch: 0} if cls is Sym else {}
+    if cls is Union:
+        kids, rest = [], e
+        while rest is not None:  # a canonical chain nests to the left
+            x, rest = (rest.right, rest.left) if type(rest) is Union else (rest, None)
+            if type(x) is Sym:
+                m[x.ch] = 0
+            else:
+                kids.append(x)
+    elif cls is Concat:
+        kids = (e.left, e.right) if e.left._nullable else (e.left,)
+    else:
+        kids = (e.inner,) if cls is Star else (e.left, e.right) if cls in _BUILD else ()
+    todo = [x for x in kids if x._classes is None]
+    if todo:
+        return todo
+    # Operands often share one map object: ab, a* and a all keep a's.
+    for part in {id(x._classes): x._classes for x in kids}.values():
+        m = _meet(m, part)
+    _set_classes(e, m)
     return m
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
+from functools import cmp_to_key
 from operator import and_, attrgetter, gt, or_
 from typing import Callable, Iterable
 
@@ -183,16 +184,17 @@ _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _new = object.__new__
 
 
-def _publish(node: Regex, key: tuple, order: tuple, nullable: bool) -> Regex:
+def _publish(node: Regex, key: tuple, order: tuple, nullable: bool, text=None) -> Regex:
     # Completes a node whose fields are set and returns the live term under
     # key.  No lock: a key holds a class and ints or a letter, so setdefault
     # runs no Python code and is atomic; a node that loses a race dies.
+    # 0, 1 and symbols come with their text, and are canonical.
     _set_key(node, order)
     _set_nullable(node, nullable)
-    _set_canon(node, None)
+    _set_canon(node, None if text is None else True)
     _set_derivs(node, None)
     _set_classes(node, None)
-    _set_text(node, None)
+    _set_text(node, text)
     ref = _Ref(node, _drop)
     ref.key = key
     while (held := _INTERNED.setdefault(key, ref)) is not ref:
@@ -211,7 +213,7 @@ def _sym(ch: str) -> Regex:
         require_symbol(ch)  # to_json writes printed terms without escaping
         node = _new(Sym)
         _set_ch(node, ch)
-        node = _publish(node, key, (2, ch), False)
+        node = _publish(node, key, (2, ch), False, ch)
     return node
 
 
@@ -239,8 +241,8 @@ def _node(cls: type, left: Regex, right: Regex) -> Regex:
     return node
 
 
-EMPTY: Regex = _publish(_new(Empty), (Empty,), (0,), False)
-EPSILON: Regex = _publish(_new(Epsilon), (Epsilon,), (1,), True)
+EMPTY: Regex = _publish(_new(Empty), (Empty,), (0,), False, "0")
+EPSILON: Regex = _publish(_new(Epsilon), (Epsilon,), (1,), True, "1")
 
 
 def require_symbol(ch: str) -> None:
@@ -278,12 +280,21 @@ def letters(e: Regex) -> frozenset[str]:
     return frozenset(found)
 
 
-def word_regex(w: Word) -> Regex:
-    """The literal term whose language is exactly {w}, in canonical form."""
-    node = EPSILON
-    for ch in reversed(w):  # _sym refuses non-letters
-        node = _sym(ch) if node is EPSILON else _node(Concat, _sym(ch), node)
-    return node
+def _bottom_up(e: Regex, step: Callable, arg: object = None):
+    # Fills a per-node memo on e, children first, on an explicit stack, and
+    # returns e's value.  step(node, arg) either fills node's slot from its
+    # children's and returns the value, or returns the list of children
+    # whose slots are still empty, and runs again once they are filled.
+    value = step(e, arg)
+    if type(value) is list:
+        stack = [e, *value]
+        while stack:
+            value = step(stack[-1], arg)
+            if type(value) is list:
+                stack += value
+            else:
+                stack.pop()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -372,49 +383,45 @@ def render(e: Regex) -> str:
     """Concrete syntax for a term.  parse(render(e)) gives back e itself."""
     if not isinstance(e, Regex):
         raise TypeError(f"not a regex term: {e!r}")
-    return _body(e)
+    return e._text or _bottom_up(e, _text_step)
 
 
-def _body(e: Regex, context: int = 0) -> str:
-    # The text of e, in parentheses when e binds more loosely than context.
-    # The bare text is kept on the node.  One frame per level of nesting,
-    # but none per operand of a +, - or & chain.
-    text = e._text
-    if text is None:
-        match e:
-            case Union() | Intersect() | Diff():  # a DFA's states are mostly unions
-                # A chain nests to the left and can be thousands long, so
-                # walk down to the first prefix already printed (or the
-                # first operand) and join the rest onto it.  Only the top
-                # keeps the text: kept on every prefix, the texts would
-                # take memory quadratic in the chain.
-                cls, rights, node = type(e), [], e
-                while type(node) is cls and node._text is None:
-                    rights.append(node.right)
-                    node = node.left
-                # An operand's kept text goes in as it is unless it needs
-                # parentheses: one call per state of a DFA rather than one
-                # per operand of its chain.
-                prec = _PREC[cls]
-                parts = [_body(node, prec)]
-                for r in reversed(rights):
-                    part = r._text
-                    if part is None or _PREC.get(type(r), prec + 1) <= prec:
-                        part = _body(r, prec + 1)
-                    parts.append(part)
-                text = _INFIX_TEXT[cls].join(parts)
-            case Concat(l, r):
-                text = _body(l, _PREC[Star]) + _body(r, _PREC[Concat])
-            case Star(x):
-                text = _body(x, _PREC[Star]) + "*"
-            case Sym(ch):
-                text = ch
-            case Empty():
-                text = "0"
-            case Epsilon():
-                text = "1"
-        _set_text(e, text)
-    return f"({text})" if _PREC.get(type(e), context) < context else text
+def _text_step(e: Regex, _=None) -> str | list[Regex]:
+    # The _bottom_up step of render: e's bare text from its operands' kept
+    # texts.  Only the top of a chain keeps its text (kept on every part,
+    # the texts would take memory quadratic in the chain), so a + - & chain
+    # is taken down its left spine, and a juxtaposition down its right one,
+    # to the first part already printed.
+    cls = type(e)
+    if cls is Star:
+        ops = [e.inner]
+    elif cls is Concat:
+        ops, node = [e.left], e.right
+        while type(node) is Concat and node._text is None:
+            ops.append(node.left)
+            node = node.right
+        ops.append(node)
+    else:
+        ops, node = [e.right], e.left
+        while type(node) is cls and node._text is None:
+            ops.append(node.right)
+            node = node.left
+        ops.append(node)
+        ops.reverse()
+    prec, parts = _PREC[cls], []
+    for x in ops:
+        t = x._text
+        if t is None:
+            return [x for x in ops if x._text is None]
+        parts.append(f"({t})" if _PREC.get(type(x), 5) <= prec else t)
+    # The loose place (the operand of a star, the prefix of + - &, the
+    # suffix of a juxtaposition) takes its own operator bare.
+    i = -1 if cls is Concat else 0
+    if _PREC.get(type(ops[i])) == prec:
+        parts[i] = ops[i]._text
+    text = _INFIX_TEXT.get(cls, "").join(parts) + ("*" if cls is Star else "")
+    _set_text(e, text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +436,20 @@ def _body(e: Regex, context: int = 0) -> str:
 
 
 _sort_key = attrgetter("_key")
+
+
+def _compare(x: Regex, y: Regex) -> int:
+    # Three-way term order without recursion: pairs of sort keys on a stack,
+    # rank first, then the fields left to right.  Equal subterms are one
+    # term, so their keys are one tuple.
+    stack = [(x._key, y._key)]
+    while stack:
+        p, q = stack.pop()
+        if p is not q:
+            if p[0] != q[0] or p[0] == 2:  # another rank, or two letters
+                return -1 if p[:2] < q[:2] else 1
+            stack += zip(reversed(p[1:]), reversed(q[1:]))
+    return 0
 
 
 def _operands(e: Regex, cls: type) -> list[Regex]:
@@ -454,54 +475,65 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
     # new ones; the prefix below keeps its nodes, and so the derivatives
     # and texts kept on them.  Appending one operand to a k-wide chain
     # costs one comparison and one node, not a sort and k lookups.
-    one = first is EPSILON
-    node = None if one or first is EMPTY else first
-    if type(node) is cls and node.right is EPSILON:  # 1 stays last
-        node, one = node.left, True
-    if len(rest) == 1:
-        # One operand that sorts after the top goes on top (under a 1) with
-        # one comparison, no set and no sort.  A canonical top is not 0 or
-        # 1, so neither is an operand that sorts after it.
-        t = rest[0]
-        top = node.right if type(node) is cls else node
-        if top is not None and type(t) is not cls and top._key < t._key:
-            node = _node(cls, node, t)
-            return _node(cls, node, EPSILON) if one else node
-    new: set[Regex] = set()
-    for t in rest:
-        if type(t) is cls:
-            new.update(_operands(t, cls))
-        else:
-            new.add(t)
-    one = one or EPSILON in new
-    new.discard(EMPTY)
-    new.discard(EPSILON)
-    if new:
-        ordered = sorted(new, key=_sort_key)
-        low = ordered[0]
-        olds = []  # the operands taken off, largest first
-        while node is not None:
+    try:
+        one = first is EPSILON
+        node = None if one or first is EMPTY else first
+        if type(node) is cls and node.right is EPSILON:  # 1 stays last
+            node, one = node.left, True
+        if len(rest) == 1:
+            # One operand that sorts after the top goes on top (under a 1) with
+            # one comparison, no set and no sort.  A canonical top is not 0 or
+            # 1, so neither is an operand that sorts after it.
+            t = rest[0]
             top = node.right if type(node) is cls else node
-            if top is low:  # already in the prefix: add it once
-                del ordered[0]
-                break
-            if top._key < low._key:
-                break
-            olds.append(top)
-            node = node.left if type(node) is cls else None
-        merged = []
-        for x in ordered:
-            while olds and olds[-1]._key < x._key:
-                merged.append(olds.pop())
-            if olds and olds[-1] is x:
-                olds.pop()
-            merged.append(x)
-        merged += reversed(olds)
-        for x in merged:
+            if top is not None and type(t) is not cls and top._key < t._key:
+                node = _node(cls, node, t)
+                return _node(cls, node, EPSILON) if one else node
+        new: set[Regex] = set()
+        for t in rest:
+            if type(t) is cls:
+                new.update(_operands(t, cls))
+            else:
+                new.add(t)
+        one = one or EPSILON in new
+        new.discard(EMPTY)
+        new.discard(EPSILON)
+        if new:
+            ordered = sorted(new, key=_sort_key)
+            low = ordered[0]
+            olds = []  # the operands taken off, largest first
+            while node is not None:
+                top = node.right if type(node) is cls else node
+                if top is low:  # already in the prefix: add it once
+                    del ordered[0]
+                    break
+                if top._key < low._key:
+                    break
+                olds.append(top)
+                node = node.left if type(node) is cls else None
+            merged = []
+            for x in ordered:
+                while olds and olds[-1]._key < x._key:
+                    merged.append(olds.pop())
+                if olds and olds[-1] is x:
+                    olds.pop()
+                merged.append(x)
+            merged += reversed(olds)
+            for x in merged:
+                node = x if node is None else _node(cls, node, x)
+        if one:
+            node = EPSILON if node is None else _node(cls, node, EPSILON)
+        return node
+    except RecursionError:
+        # Keys nest as deep as their terms, and two tall ones overflow the
+        # C comparison of nested tuples.  _compare gives the same order
+        # without recursion, so the chain is built again from its sorted
+        # operands.
+        ops = {x for t in (first, *rest) for x in _operands(t, cls)} - {EMPTY}
+        node = None
+        for x in sorted(ops - {EPSILON}, key=cmp_to_key(_compare)) + [EPSILON] * (EPSILON in ops):
             node = x if node is None else _node(cls, node, x)
-    if one:
-        node = EPSILON if node is None else _node(cls, node, EPSILON)
-    return node
+        return node
 
 
 # ---------------------------------------------------------------------------
@@ -581,29 +613,26 @@ def canonicalize(e: Regex) -> Regex:
     c = e._canon
     if c is True:
         return e
-    if c is None:
-        match e:
-            case Union():  # the whole chain at once, not pairwise
-                c = union(*map(canonicalize, _operands(e, Union)))
-            case Concat(l, r):
-                c = concat(canonicalize(l), canonicalize(r))
-            case Star(x):
-                c = star(canonicalize(x))
-            case Intersect():
-                c = intersect(*map(canonicalize, _operands(e, Intersect)))
-            case Diff(l, r):
-                # A chain nests to the left and can be thousands long, so
-                # canonicalize its prefixes deepest first.
-                spine, node = [], l
-                while type(node) is Diff and node._canon is None:
-                    spine.append(node)
-                    node = node.left
-                for node in reversed(spine):
-                    canonicalize(node)
-                c = diff(canonicalize(l), canonicalize(r))
-            case _:
-                c = e
-        if c is not e:
-            _set_canon(e, c)
-        _set_canon(c, True)
+    return c or _bottom_up(e, _canon_step)
+
+
+_BUILD = {Union: union, Intersect: intersect, Concat: concat, Diff: diff, Star: star}
+
+
+def _canon_step(e: Regex, _=None) -> Regex | list[Regex]:
+    # The _bottom_up step of canonicalize: the builder of e's class over its
+    # children's canonical forms.  A + or & chain goes in whole, not
+    # pairwise.
+    cls = type(e)
+    if cls is Union or cls is Intersect:
+        kids = _operands(e, cls)
+    else:
+        kids = [e.inner] if cls is Star else [e.left, e.right]
+    todo = [x for x in kids if x._canon is None]
+    if todo:
+        return todo
+    c = _BUILD[cls](*[x if x._canon is True else x._canon for x in kids])
+    if c is not e:
+        _set_canon(e, c)
+    _set_canon(c, True)
     return c

@@ -89,6 +89,14 @@ def words_upto(k, alphabet="ab"):
     return words
 
 
+def word_regex(w):
+    """The literal term whose language is exactly {w}, in canonical form."""
+    node = EPSILON
+    for ch in reversed(w):  # Sym refuses non-letters
+        node = Sym(ch) if node is EPSILON else Concat(Sym(ch), node)
+    return node
+
+
 def word_union_text(count=3000):
     """A union of *count* distinct 3-letter words, abc among them and zzz not.
 
@@ -114,6 +122,40 @@ def regexes(alphabet="ab", max_leaves=8):
         )
 
     return st.recursive(leaves, compound, max_leaves=max_leaves)
+
+
+DEEP_KINDS = ("literal", "star", "starred-group", "and", "minus")
+
+
+@st.composite
+def deep_terms(draw, kinds=DEEP_KINDS, alphabet="ab", min_depth=500, max_depth=3000):
+    """Hypothesis strategy for terms far deeper than the recursion limit.
+
+    Each level puts a letter in front (a right-nested literal), a star
+    around, a group starred and followed by a letter (a left-nested
+    (...)*x chain), or one more operand of a & or - chain on top.  The
+    levels are drawn from one or more of *kinds*, so the terms mix them.
+    The term is built from a seeded generator, so a draw costs a few bytes
+    whatever the depth.
+    """
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3, unique=True))
+    depth = draw(st.integers(min_depth, max_depth))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    node = Sym(rng.choice(alphabet))
+    for _ in range(depth):
+        x = Sym(rng.choice(alphabet))
+        kind = rng.choice(kinds)
+        if kind == "literal":
+            node = Concat(x, node)
+        elif kind == "star":
+            node = Star(node)
+        elif kind == "starred-group":
+            node = Concat(Star(node), x)
+        elif kind == "and":
+            node = Intersect(node, Star(Union(x, Sym(rng.choice(alphabet)))))
+        else:
+            node = Diff(node, Concat(x, x))
+    return node
 
 
 def term_order(a, b):

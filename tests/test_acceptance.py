@@ -24,6 +24,7 @@ pass/fail record.  Criteria:
 import time
 
 import helpers
+from helpers import word_regex
 from derivrex import (
     EMPTY,
     EPSILON,
@@ -42,7 +43,6 @@ from derivrex import (
     render,
     star,
     union,
-    word_regex,
 )
 from derivrex.cli import IDENTITIES, NON_IDENTITIES, main
 

@@ -147,9 +147,9 @@ class TestCheckIdentities:
 
 class TestBackstop:
     def test_deep_nesting_is_an_error_not_a_traceback(self, capsys):
-        # A literal this long still recurses past the limit in canonicalize.
-        word = "a" * 1200
-        code, out, err = run(capsys, "match", word, word)
+        # The enumerator recurses by design, as a semantics apart from the
+        # engine, so a literal this long runs past the limit there.
+        code, out, err = run(capsys, "enum", "a" * 1200, "--bound", "1")
         assert code == 2
         assert out == ""
         assert err.startswith("derivrex: error: ")
@@ -162,8 +162,9 @@ class TestBackstop:
             ("(" * 170 + "a" + ")" * 170, "a"),
             ("(" * 5000 + "a" + ")" * 5000, "a"),
             ("(" * 300 + "a" + ")*" * 300, "aa"),
+            ("a" * 1200, "a" * 1200),
         ],
-        ids=["170-groups", "5000-groups", "300-starred-groups"],
+        ids=["170-groups", "5000-groups", "300-starred-groups", "1200-letters"],
     )
     def test_deep_nesting_gets_an_answer(self, capsys, expr, word):
         assert run(capsys, "match", expr, word) == (0, "true\n", "")

@@ -1,0 +1,168 @@
+"""Terms far deeper than the interpreter's recursion limit.
+
+Every engine call answers on them: the per-node memos are filled on an
+explicit stack, and tall sort keys compare without recursion.  Only the
+oracle's enumerator recurses, by design.
+"""
+
+import gc
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import helpers
+from derivrex import (
+    EPSILON,
+    Union,
+    build_dfa,
+    canonicalize,
+    dfa_accepts,
+    equivalent,
+    matches,
+    parse,
+    render,
+    to_dot,
+    to_json,
+    union,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_long_literal_matches_itself():
+    word = "ab" * 2500
+    e = parse(word)
+    assert matches(e, word)
+    assert not matches(e, word[:-1])
+
+
+def test_long_literal_compiles_and_exports():
+    word = "ab" * 750
+    d = build_dfa(parse(word), "ab")
+    assert len(d.states) == len(word) + 2  # every suffix, and 0
+    assert d.states[-1] is EPSILON
+    assert dfa_accepts(d, word)
+    assert to_json(d) == helpers.reference_to_json(d)
+    assert to_dot(d) == helpers.reference_to_dot(d)
+
+
+def test_nested_stars_match():
+    e = parse("(" * 5000 + "a" + ")*" * 5000)
+    assert canonicalize(e) is parse("a*")
+    assert matches(e, "aa")
+    assert not matches(e, "ab")
+
+
+def test_nested_starred_groups_match():
+    # ((a*b)*b...)*b: a letter after each starred group, so no star collapses.
+    e = parse("(" * 3000 + "a" + ")*b" * 3000)
+    assert canonicalize(e) is e
+    assert matches(e, "b")
+    assert not matches(e, "")
+
+
+def test_long_literals_are_equivalent():
+    word = "ab" * 2500
+    grouped = f"({word[:2500]})({word[2500:]})"
+    assert equivalent(parse(word), parse(grouped), "ab") == (True, None)
+    assert equivalent(parse(word), parse(word[:-1] + "a"), "ab") == (False, word[:-1] + "a")
+
+
+def test_union_of_long_literals_that_differ_last():
+    # Their sort keys nest 5,000 deep, too deep for the C tuple comparison.
+    low, high = parse("a" * 4999 + "b"), parse("a" * 4999 + "c")
+    u = union(high, low)
+    assert u is Union(low, high)
+    assert union(low, high) is u
+    assert union(u, EPSILON) is Union(u, EPSILON)
+
+
+def test_printing_a_long_literal_keeps_linear_memory():
+    gc.collect()
+    word = "ab" * 2500
+    e = parse(word)
+    tracemalloc.start()
+    try:
+        assert render(e) == word
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The text is 5 kB.  Keeping the text of every suffix would hold
+    # about 12.5 MB.
+    assert held < 1_000_000
+
+
+def test_deep_terms_need_no_recursion():
+    # With the limit at 100, any recursion per level of a term fails at once.
+    script = textwrap.dedent(
+        """
+        import sys
+        from derivrex import (build_dfa, canonicalize, equivalent, matches, parse,
+                              render, to_dot, to_json, union)
+
+        n = 2000
+        literal = "ab" * (n // 2)
+        cases = [  # a text n deep, and whether it matches b
+            (literal, False),
+            ("(" * n + "a" + ")*" * n, False),
+            ("(" * n + "a" + ")*b" * n, True),
+            ("-".join(["(a+b)*"] + ["ab"] * n), True),
+            ("&".join(["(a+b)*", "a*b"] * (n // 2)), True),
+        ]
+        sys.setrecursionlimit(100)
+        for text, matches_b in cases:
+            e = parse(text)
+            assert parse(render(e)) is e
+            c = canonicalize(e)
+            assert canonicalize(c) is c and parse(render(c)) is c
+            assert matches(e, "b") is matches_b
+        d = build_dfa(parse(literal), "ab")
+        assert len(d.states) == n + 2
+        assert to_json(d).count('"symbol"') == 2 * (n + 2)
+        assert to_dot(d).count("->") == 2 * (n + 2) + 1
+        other = literal[:-1] + "a"
+        assert equivalent(parse(literal), parse(other), "ab").counterexample == other
+        assert equivalent(parse(cases[1][0]), parse("a*"), "ab").equal
+        assert union(parse("a" * n + "b"), parse("a" * n + "c")).right is parse("a" * n + "c")
+        print("ok")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+DEEP = settings(max_examples=8)
+
+
+@DEEP
+@given(helpers.deep_terms())
+def test_deep_terms_print_and_parse_back(e):
+    assert parse(render(e)) is e
+
+
+@DEEP
+@given(helpers.deep_terms())
+def test_canonicalize_is_idempotent_on_deep_terms(e):
+    c = canonicalize(e)
+    assert canonicalize(c) is c
+    assert parse(render(c)) is c
+
+
+# Stars over concatenations blow up the number of states, so this property
+# draws from the kinds whose automata stay about as large as the term.
+@DEEP
+@given(
+    helpers.deep_terms(kinds=("literal", "and", "minus")),
+    st.lists(st.text("ab", max_size=6), min_size=1, max_size=4),
+)
+def test_deep_matches_agree_with_the_automaton(e, words):
+    d = build_dfa(e, "ab")
+    for w in words:
+        assert matches(e, w) == dfa_accepts(d, w)
+

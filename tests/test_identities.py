@@ -6,6 +6,7 @@ the syntax tests; everything here genuinely needs the bisimulation check.
 
 import pytest
 
+from helpers import word_regex
 from derivrex import (
     Concat,
     Star,
@@ -15,7 +16,6 @@ from derivrex import (
     equivalent,
     letters,
     parse,
-    word_regex,
 )
 from derivrex.cli import COMMUTING_PAIR, IDENTITIES, NON_IDENTITIES
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from helpers import word_regex
 from derivrex import (
     EMPTY,
     EPSILON,
@@ -32,7 +33,6 @@ from derivrex import (
     parse,
     render,
     union,
-    word_regex,
 )
 from derivrex.syntax import _INTERNED, _operands
 

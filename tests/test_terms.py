@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 
 import helpers
+from helpers import word_regex
 from derivrex import (
     EMPTY,
     EPSILON,
@@ -34,9 +35,8 @@ from derivrex import (
     render,
     to_dot,
     to_json,
-    word_regex,
 )
-from derivrex.syntax import _INTERNED, _Ref, _drop, _publish
+from derivrex.syntax import _INTERNED, _Ref, _compare, _drop, _publish
 
 A, B = Sym("a"), Sym("b")
 
@@ -207,6 +207,15 @@ def test_term_order_agrees_with_structural_key(corpus):
     for a, ka in zip(terms, keys):
         for b, kb in zip(terms, keys):
             assert helpers.term_order(a, b) == (ka > kb) - (ka < kb)
+
+
+def test_tall_key_comparison_agrees_with_structural_key(corpus):
+    # _merge falls back on _compare when sort keys are too tall to compare.
+    terms = list(corpus) + [canonicalize(e) for e in corpus]
+    keys = [helpers.term_key(t) for t in terms]
+    for a, ka in zip(terms, keys):
+        for b, kb in zip(terms, keys):
+            assert _compare(a, b) == (ka > kb) - (ka < kb)
 
 
 def test_dropped_automata_release_their_terms():
