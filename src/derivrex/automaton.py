@@ -226,7 +226,7 @@ def from_json(text: str) -> Dfa:
             raise AutomatonFormatError("alphabet, states, accepting and transitions must be lists")
         alphabet, texts, accepting, transitions = map(tuple, arrays)
         moves = [(t["from"], t["symbol"], t["to"]) for t in transitions]
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, long ints, deep nesting
         raise AutomatonFormatError(f"not a JSON document: {exc}") from None
     except KeyError as exc:
         raise AutomatonFormatError(f"missing field {exc}") from None

@@ -22,7 +22,7 @@ from .automaton import (
 from .derivative import deriv_word, nullable
 from .errors import AlphabetError, DerivrexError
 from .oracle import DEFAULT_CAP, dump_words, enumerate_lang
-from .syntax import _alphabet, letters, parse, render
+from .syntax import LETTERS, _alphabet, parse, render
 
 # The identity suite: classic equational facts about regular expressions,
 # each given as a chain of expressions expected to denote one language, and
@@ -57,44 +57,37 @@ NON_IDENTITIES: tuple[tuple[str, str], ...] = (
 COMMUTING_PAIR = ("a(aa)", "(aa)a")
 
 
-# Each handler takes the parsed arguments and the alphabet that main worked
-# out, and returns the exit status.
+# Each handler takes the parsed arguments, the alphabet that main worked out
+# and the terms of the command's expressions, and returns the exit status.
+# main has checked the expressions and the word against the alphabet.
 
 
-def cmd_derive(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
-    d = _derivative(args, alpha)
+def cmd_derive(args: argparse.Namespace, alpha: tuple[str, ...], e) -> int:
+    d = deriv_word(args.word, e)
     print(render(d))
     print(f"nullable={'true' if nullable(d) else 'false'}")
     return 0
 
 
-def cmd_match(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
-    accepted = nullable(_derivative(args, alpha))
+def cmd_match(args: argparse.Namespace, alpha: tuple[str, ...], e) -> int:
+    accepted = nullable(deriv_word(args.word, e))
     print("true" if accepted else "false")
     return 0 if accepted else 1
 
 
-def cmd_dfa(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
-    e = parse(args.expr, _nonempty(alpha))
-    d = build_dfa(e, alpha, args.max_states)
+def cmd_dfa(args: argparse.Namespace, alpha: tuple[str, ...], e) -> int:
+    d = build_dfa(e, _nonempty(alpha), args.max_states)
     print(to_json(d) if args.format == "json" else to_dot(d))
     return 0
 
 
-def cmd_equiv(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
-    e = parse(args.expr1, _nonempty(alpha))
-    f = parse(args.expr2, alpha)
-    verdict = equivalent(e, f, alpha, args.max_pairs)
-    if verdict.equal:
-        print("equal")
-        return 0
-    word = verdict.counterexample
-    print(f"unequal {word}" if word else "unequal")
-    return 1
+def cmd_equiv(args: argparse.Namespace, alpha: tuple[str, ...], e, f) -> int:
+    equal, word = equivalent(e, f, _nonempty(alpha), args.max_pairs)
+    print("equal" if equal else f"unequal {word}" if word else "unequal")
+    return 0 if equal else 1
 
 
-def cmd_enum(args: argparse.Namespace, alpha: tuple[str, ...]) -> int:
-    e = parse(args.expr, alpha)
+def cmd_enum(args: argparse.Namespace, alpha: tuple[str, ...], e) -> int:
     sys.stdout.write(dump_words(enumerate_lang(e, args.bound, args.enum_cap)))
     return 0
 
@@ -140,16 +133,8 @@ def cmd_check_identities(args: argparse.Namespace, alpha: tuple[str, ...]) -> in
 
 
 def _inferred_alphabet(texts) -> tuple[str, ...]:
-    return tuple(sorted(set().union(*(letters(parse(text)) for text in texts))))
-
-
-def _derivative(args: argparse.Namespace, alpha: tuple[str, ...]):
-    # derive and match: the derivative of the expression by the word.
-    e = parse(args.expr, alpha)
-    for i, ch in enumerate(args.word):
-        if ch not in alpha:
-            raise AlphabetError(f"word symbol {ch!r} at position {i} is not in the alphabet")
-    return deriv_word(args.word, e)
+    # Exact for texts that parse: parse keeps every letter as a symbol.
+    return tuple(sorted(LETTERS.intersection("".join(texts))))
 
 
 def _nonempty(alpha: tuple[str, ...]) -> tuple[str, ...]:
@@ -181,25 +166,32 @@ def _budget(default: int, text: str) -> dict:
 
 
 # Options every command takes, then each command's handler, help line and
-# own arguments; options are add_argument keywords by flag or name.
+# own arguments; options are add_argument keywords by flag or name.  Each
+# budget goes only to the commands that spend it.
 COMMON_OPTIONS = {
     "--alphabet": dict(
         metavar="LETTERS", help="symbols to work over (default: the letters of the expressions)"
     ),
-    "--max-states": _budget(DEFAULT_MAX_STATES, "state budget for DFA construction"),
-    "--max-pairs": _budget(DEFAULT_MAX_PAIRS, "pair budget for equivalence checking"),
-    "--enum-cap": _budget(DEFAULT_CAP, "word budget for enumeration"),
 }
+MAX_PAIRS = _budget(DEFAULT_MAX_PAIRS, "pair budget for equivalence checking")
 
 COMMANDS = {
     "derive": (cmd_derive, "word derivative of an expression", {"expr": {}, "word": {}}),
     "match": (cmd_match, "test whether a word matches", {"expr": {}, "word": {}}),
-    "dfa": (cmd_dfa, "compile to a DFA and print it",
-            {"expr": {}, "--format": dict(choices=("dot", "json"), default="dot")}),
-    "equiv": (cmd_equiv, "decide language equivalence", {"expr1": {}, "expr2": {}}),
-    "enum": (cmd_enum, "list words up to a length bound",
-             {"expr": {}, "--bound": dict(type=_bound_int, default=6, metavar="K")}),
-    "check-identities": (cmd_check_identities, "run the identity suite", {}),
+    "dfa": (cmd_dfa, "compile to a DFA and print it", {
+        "expr": {},
+        "--max-states": _budget(DEFAULT_MAX_STATES, "state budget for DFA construction"),
+        "--format": dict(choices=("dot", "json"), default="dot"),
+    }),
+    "equiv": (cmd_equiv, "decide language equivalence",
+              {"expr1": {}, "expr2": {}, "--max-pairs": MAX_PAIRS}),
+    "enum": (cmd_enum, "list words up to a length bound", {
+        "expr": {},
+        "--enum-cap": _budget(DEFAULT_CAP, "word budget for enumeration"),
+        "--bound": dict(type=_bound_int, default=6, metavar="K"),
+    }),
+    "check-identities": (cmd_check_identities, "run the identity suite",
+                         {"--max-pairs": MAX_PAIRS}),
 }
 
 
@@ -218,16 +210,19 @@ def _argparser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _argparser().parse_args(argv)
+    texts = [getattr(args, name) for name in ("expr", "expr1", "expr2") if name in args]
     try:
         # The declared alphabet, or else the letters of the command's
         # expressions: none for check-identities, which infers per line.
         if args.alphabet is None:
-            alpha = _inferred_alphabet(
-                getattr(args, name) for name in ("expr", "expr1", "expr2") if name in args
-            )
+            alpha = _inferred_alphabet(texts)
         elif not (alpha := _alphabet(args.alphabet)):
             raise AlphabetError("the declared alphabet is empty")
-        return COMMANDS[args.command][0](args, alpha)
+        terms = [parse(text, alpha) for text in texts]
+        for i, ch in enumerate(getattr(args, "word", "")):  # derive and match
+            if ch not in alpha:
+                raise AlphabetError(f"word symbol {ch!r} at position {i} is not in the alphabet")
+        return COMMANDS[args.command][0](args, alpha, *terms)
     except DerivrexError as exc:
         print(f"derivrex: error: {exc}", file=sys.stderr)
         return 2

@@ -69,6 +69,9 @@ class Regex:
         # Copies and unpickled terms go back through the intern table.
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
+    def __deepcopy__(self, memo: dict) -> Regex:
+        return self  # immutable and interned: a copy would be this very term
+
 
 class Empty(Regex):
     """The empty language, written ``0``."""

@@ -256,6 +256,10 @@ class TestFromJsonErrors:
             pytest.param(_broken(_set(["accepting"], {"1": 1})), id="accepting-an-object"),
             pytest.param(_broken(_set(["transitions"], {})), id="transitions-an-object"),
             pytest.param(_broken(_set(["transitions"], "")), id="transitions-a-string"),
+            # Errors of the JSON reader that are not JSONDecodeError.
+            pytest.param("[" * 100_000, id="nested-too-deep"),
+            pytest.param(b"\xff\xfe{", id="not-unicode"),
+            pytest.param('{"start": ' + "9" * 5000 + "}", id="start-too-many-digits"),
         ],
     )
     def test_rejected(self, text):

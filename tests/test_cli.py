@@ -7,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import derivrex.cli
 import helpers
 from derivrex.automaton import DEFAULT_MAX_PAIRS, DEFAULT_MAX_STATES
-from derivrex.cli import _argparser, main
+from derivrex.cli import _argparser, _inferred_alphabet, main
 from derivrex.oracle import DEFAULT_CAP
+from derivrex.syntax import letters, parse, render
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -212,16 +215,56 @@ def test_process_exit_status(argv, code, out):
         assert done.stderr == ""
 
 
+# The budget each command spends, with its library default.
+BUDGETS = {
+    "derive": {},
+    "match": {},
+    "dfa": {"max_states": DEFAULT_MAX_STATES},
+    "equiv": {"max_pairs": DEFAULT_MAX_PAIRS},
+    "enum": {"enum_cap": DEFAULT_CAP},
+    "check-identities": {"max_pairs": DEFAULT_MAX_PAIRS},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["derive", "a", "a"], ["match", "a", "a"], ["dfa", "a"], ["equiv", "a", "a"], ["enum", "a"],
      ["check-identities"]],
 )
 def test_budgets_default_to_the_library_defaults(argv):
-    args = _argparser().parse_args(argv)
-    assert (args.max_states, args.max_pairs, args.enum_cap) == (
-        DEFAULT_MAX_STATES, DEFAULT_MAX_PAIRS, DEFAULT_CAP
-    )
+    args = vars(_argparser().parse_args(argv))
+    own = BUDGETS[argv[0]]
+    assert {name: args[name] for name in own} == own
+    assert not ({"max_states", "max_pairs", "enum_cap"} - own.keys()) & args.keys()
+
+
+@pytest.mark.parametrize(
+    "argv,parses",
+    [(["derive", "a", "a"], 1), (["match", "a", "a"], 1), (["dfa", "a"], 1), (["enum", "a"], 1),
+     (["equiv", "a", "a"], 2), (["check-identities"], 46),
+     (["check-identities", "--alphabet", "abc"], 46)],
+)
+def test_each_expression_is_parsed_once(monkeypatch, capsys, argv, parses):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(derivrex.cli, "parse", counted)
+    assert main(argv) == 0
+    assert len(calls) == parses
+
+
+# main infers the alphabet from the texts without parsing them: every letter
+# of a text that parses is a symbol of its term.
+@given(helpers.regexes("abcz"), st.lists(st.integers(min_value=0), max_size=8))
+def test_inferred_alphabet_is_the_letters_of_the_term(e, spaces):
+    text = render(e)
+    for i in spaces:
+        i %= len(text) + 1
+        text = text[:i] + " " + text[i:]
+    assert _inferred_alphabet([text]) == tuple(sorted(letters(parse(text))))
 
 
 def test_unknown_command_exits_two(capsys):
@@ -252,7 +295,12 @@ GOLDEN = [
         "derivrex: error: word symbol 'x' at position 1 is not in the alphabet\n",
     ),
     (["derive", "a+*", "a"], 2, "", "derivrex: error: unexpected '*' at position 2\n"),
-    (["derive", "a", "a", "--enum-cap", "1"], 0, "1\nnullable=true\n", ""),
+    (
+        ["derive", "a", "a", "--enum-cap", "1"],
+        2,
+        "",
+        "usage: derivrex [-h] COMMAND ...\nderivrex: error: unrecognized arguments: --enum-cap 1\n",
+    ),
     (["match", "a", "a"], 0, "true\n", ""),
     (["match", "a", ""], 1, "false\n", ""),
     (["match", "a(a+b)*", "abba"], 0, "true\n", ""),
@@ -279,7 +327,12 @@ GOLDEN = [
         "derivrex: error: 'B' is not a single lowercase letter\n",
     ),
     (["match", "(a", "a"], 2, "", "derivrex: error: expected ')' at position 2\n"),
-    (["match", "a", "a", "--max-pairs", "1"], 0, "true\n", ""),
+    (
+        ["match", "a", "a", "--max-pairs", "1"],
+        2,
+        "",
+        "usage: derivrex [-h] COMMAND ...\nderivrex: error: unrecognized arguments: --max-pairs 1\n",
+    ),
     (
         ["dfa", "a(a+b)*"],
         0,
@@ -314,6 +367,7 @@ GOLDEN = [
         "",
     ),
     (["dfa", "0"], 2, "", "derivrex: error: the alphabet is empty; declare one with --alphabet\n"),
+    (["dfa", "0+"], 2, "", "derivrex: error: unexpected end of input at position 2\n"),
     (
         ["dfa", "0", "--alphabet", "ab", "--format", "json"],
         0,
@@ -356,8 +410,8 @@ GOLDEN = [
         2,
         "",
         (
-            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N] [--max-pairs N]\n"
-            "                    [--enum-cap N] [--format {dot,json}]\n"
+            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N]\n"
+            "                    [--format {dot,json}]\n"
             "                    expr\n"
             "derivrex dfa: error: argument --format: invalid choice: 'xml' (choose from 'dot', 'json')\n"
         ),
@@ -367,8 +421,8 @@ GOLDEN = [
         2,
         "",
         (
-            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N] [--max-pairs N]\n"
-            "                    [--enum-cap N] [--format {dot,json}]\n"
+            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N]\n"
+            "                    [--format {dot,json}]\n"
             "                    expr\n"
             "derivrex dfa: error: argument --max-states: must be a positive integer\n"
         ),
@@ -378,8 +432,8 @@ GOLDEN = [
         2,
         "",
         (
-            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N] [--max-pairs N]\n"
-            "                    [--enum-cap N] [--format {dot,json}]\n"
+            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N]\n"
+            "                    [--format {dot,json}]\n"
             "                    expr\n"
             "derivrex dfa: error: argument --max-states: invalid _positive_int value: 'x'\n"
         ),
@@ -394,6 +448,7 @@ GOLDEN = [
         "",
         "derivrex: error: the alphabet is empty; declare one with --alphabet\n",
     ),
+    (["equiv", "0", "1+"], 2, "", "derivrex: error: unexpected end of input at position 2\n"),
     (["equiv", "0", "1", "--alphabet", "a"], 1, "unequal\n", ""),
     (["equiv", "a", "b", "--alphabet", "aab"], 1, "unequal a\n", ""),
     (
@@ -425,7 +480,12 @@ GOLDEN = [
         "",
         "derivrex: error: language slice exceeded the 1-word budget\n",
     ),
-    (["enum", "a*", "--max-states", "1"], 0, "\na\naa\naaa\naaaa\naaaaa\naaaaaa\n", ""),
+    (
+        ["enum", "a*", "--max-states", "1"],
+        2,
+        "",
+        "usage: derivrex [-h] COMMAND ...\nderivrex: error: unrecognized arguments: --max-states 1\n",
+    ),
     (
         ["enum", "ab", "--alphabet", "a"],
         2,
@@ -437,9 +497,7 @@ GOLDEN = [
         2,
         "",
         (
-            "usage: derivrex enum [-h] [--alphabet LETTERS] [--max-states N]\n"
-            "                     [--max-pairs N] [--enum-cap N] [--bound K]\n"
-            "                     expr\n"
+            "usage: derivrex enum [-h] [--alphabet LETTERS] [--enum-cap N] [--bound K] expr\n"
             "derivrex enum: error: argument --bound: must be nonnegative\n"
         ),
     ),
@@ -448,9 +506,7 @@ GOLDEN = [
         2,
         "",
         (
-            "usage: derivrex enum [-h] [--alphabet LETTERS] [--max-states N]\n"
-            "                     [--max-pairs N] [--enum-cap N] [--bound K]\n"
-            "                     expr\n"
+            "usage: derivrex enum [-h] [--alphabet LETTERS] [--enum-cap N] [--bound K] expr\n"
             "derivrex enum: error: argument --bound: invalid _bound_int value: 'x'\n"
         ),
     ),
@@ -575,8 +631,8 @@ GOLDEN = [
         ["dfa", "-h"],
         0,
         (
-            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N] [--max-pairs N]\n"
-            "                    [--enum-cap N] [--format {dot,json}]\n"
+            "usage: derivrex dfa [-h] [--alphabet LETTERS] [--max-states N]\n"
+            "                    [--format {dot,json}]\n"
             "                    expr\n"
             "\n"
             "positional arguments:\n"
@@ -587,8 +643,6 @@ GOLDEN = [
             "  --alphabet LETTERS   symbols to work over (default: the letters of the\n"
             "                       expressions)\n"
             "  --max-states N       state budget for DFA construction\n"
-            "  --max-pairs N        pair budget for equivalence checking\n"
-            "  --enum-cap N         word budget for enumeration\n"
             "  --format {dot,json}\n"
         ),
         "",

@@ -101,7 +101,7 @@ def test_deep_terms_need_no_recursion():
     # With the limit at 100, any recursion per level of a term fails at once.
     script = textwrap.dedent(
         """
-        import sys
+        import copy, sys
         from derivrex import (build_dfa, canonicalize, equivalent, matches, parse,
                               render, to_dot, to_json, union)
 
@@ -118,11 +118,13 @@ def test_deep_terms_need_no_recursion():
         for text, matches_b in cases:
             e = parse(text)
             assert parse(render(e)) is e
+            assert copy.deepcopy(e) is e
             c = canonicalize(e)
             assert canonicalize(c) is c and parse(render(c)) is c
             assert matches(e, "b") is matches_b
         d = build_dfa(parse(literal), "ab")
         assert len(d.states) == n + 2
+        assert copy.deepcopy(d) == d
         assert to_json(d).count('"symbol"') == 2 * (n + 2)
         assert to_dot(d).count("->") == 2 * (n + 2) + 1
         other = literal[:-1] + "a"
