@@ -44,7 +44,6 @@ from .syntax import (
     concat,
     diff,
     intersect,
-    letters,
     parse,
     render,
     star,
@@ -89,7 +88,6 @@ __all__ = [
     "equivalent",
     "from_json",
     "intersect",
-    "letters",
     "matches",
     "nullable",
     "parse",

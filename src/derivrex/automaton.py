@@ -68,9 +68,7 @@ def build_dfa(
     index = {start: 0}
     states = [start]
     rows = []
-    pos = 0
-    while pos < len(states):
-        state = states[pos]
+    for state in states:  # grows as new states turn up
         leaders = _class_leaders(alpha, state)
         row = []
         for j, a in enumerate(alpha):
@@ -87,7 +85,6 @@ def build_dfa(
                 states.append(target)
             row.append(where)
         rows.append(tuple(row))
-        pos += 1
     accepting = frozenset(i for i, t in enumerate(states) if nullable(t))
     return Dfa(tuple(states), alpha, 0, accepting, tuple(rows))
 

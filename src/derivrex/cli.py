@@ -165,14 +165,9 @@ def _budget(default: int, text: str) -> dict:
     return dict(type=_positive_int, default=default, metavar="N", help=text)
 
 
-# Options every command takes, then each command's handler, help line and
-# own arguments; options are add_argument keywords by flag or name.  Each
-# budget goes only to the commands that spend it.
-COMMON_OPTIONS = {
-    "--alphabet": dict(
-        metavar="LETTERS", help="symbols to work over (default: the letters of the expressions)"
-    ),
-}
+# Each command's handler, help line and own arguments, which follow the
+# --alphabet that every command takes; options are add_argument keywords by
+# flag or name.  Each budget goes only to the commands that spend it.
 MAX_PAIRS = _budget(DEFAULT_MAX_PAIRS, "pair budget for equivalence checking")
 
 COMMANDS = {
@@ -203,7 +198,9 @@ def _argparser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (_, summary, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        for flag, options in (COMMON_OPTIONS | arguments).items():
+        p.add_argument("--alphabet", metavar="LETTERS",
+                       help="symbols to work over (default: the letters of the expressions)")
+        for flag, options in arguments.items():
             p.add_argument(flag, **options)
     return ap
 

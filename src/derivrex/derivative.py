@@ -43,16 +43,15 @@ def nullable(e: Regex) -> bool:
 
 def deriv_sym(a: str, e: Regex) -> Regex:
     """The derivative of *e* by the symbol *a*, in canonical form."""
-    require_symbol(a)
     return _deriv(a, canonicalize(e))
 
 
 def _deriv(a: str, e: Regex) -> Regex:
     # e is canonical, so every subterm is canonical and the builders keep
-    # the result canonical.  Results are kept on e, one per symbol.  Callers
-    # check a first: deriv_word takes every key it finds as a valid symbol.
+    # the result canonical.  Results are kept on e, one per symbol.  a is
+    # checked on a miss, before it becomes a key, so every key is a letter.
     memo = e._derivs
-    return memo and memo.get(a) or _bottom_up(e, _deriv_step, a)
+    return memo and memo.get(a) or _bottom_up(e, _deriv_step, require_symbol(a))
 
 
 def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
@@ -159,18 +158,16 @@ def deriv_word(w: Word, e: Regex) -> Regex:
     The derivative tables kept on the nodes are the transitions of a lazily
     built DFA whose states are canonical terms, so each symbol is first
     looked up in the current node's table, one dict lookup once warm.  A
-    miss checks the symbol and computes the derivative, which fills the
-    table in.  Only checked symbols ever become keys (every caller of
-    _deriv checks its symbols first), so a hit proves the symbol valid and
-    a bad symbol raises the same AlphabetError whether the table is warm or
-    cold.
+    miss computes the derivative, which fills the table in.  _deriv checks
+    each symbol before it becomes a key, so a hit proves the symbol valid
+    and a bad symbol raises the same AlphabetError whether the table is
+    warm or cold.
     """
     node = canonicalize(e)
     for ch in w:
         try:
             node = node._derivs[ch]
         except (KeyError, TypeError):  # not computed yet, or no table yet
-            require_symbol(ch)
             node = _deriv(ch, node)
     return node
 

@@ -248,39 +248,17 @@ EMPTY: Regex = _publish(_new(Empty), (Empty,), (0,), False, "0")
 EPSILON: Regex = _publish(_new(Epsilon), (Epsilon,), (1,), True, "1")
 
 
-def require_symbol(ch: str) -> None:
-    """Reject anything that is not a single lowercase ASCII letter."""
-    if len(ch) != 1 or ch not in LETTERS:
+def require_symbol(ch: str) -> str:
+    """Return *ch* if it is a single lowercase ASCII letter, else raise."""
+    if ch not in LETTERS:
         raise AlphabetError(f"{ch!r} is not a single lowercase letter")
+    return ch
 
 
 def _alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
     # An alphabet: the symbols in first-seen order without repeats, each
     # checked to be a letter.
-    alpha = tuple(dict.fromkeys(symbols))
-    for ch in alpha:
-        require_symbol(ch)
-    return alpha
-
-
-def letters(e: Regex) -> frozenset[str]:
-    """The set of symbols occurring in a term."""
-    found: set[str] = set()
-    seen: set[Regex] = set()
-    stack = [e]
-    while stack:  # a stack, not recursion: parsed chains can be long
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        match node:
-            case Sym(ch):
-                found.add(ch)
-            case Star(x):
-                stack.append(x)
-            case _Binary(l, r):
-                stack += (l, r)
-    return frozenset(found)
+    return tuple(map(require_symbol, dict.fromkeys(symbols)))
 
 
 def _bottom_up(e: Regex, step: Callable, arg: object = None):

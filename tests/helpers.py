@@ -97,6 +97,24 @@ def word_regex(w):
     return node
 
 
+def letters(e):
+    """The set of symbols occurring in a term."""
+    found, seen, stack = set(), set(), [e]
+    while stack:  # a stack, not recursion: parsed chains can be long
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        match node:
+            case Sym(ch):
+                found.add(ch)
+            case Star(x):
+                stack.append(x)
+            case Concat(l, r) | Intersect(l, r) | Diff(l, r) | Union(l, r):
+                stack += (l, r)
+    return frozenset(found)
+
+
 def word_union_text(count=3000):
     """A union of *count* distinct 3-letter words, abc among them and zzz not.
 

@@ -36,7 +36,6 @@ from derivrex import (
     dfa_accepts,
     enumerate_lang,
     equivalent,
-    letters,
     matches,
     parse,
     quotient,
@@ -179,7 +178,7 @@ def test_criterion_8_determinism(capsys):
 def _chain_alphabet(chain):
     found = set()
     for text in chain:
-        found |= letters(parse(text))
+        found |= helpers.letters(parse(text))
     return tuple(sorted(found))
 
 

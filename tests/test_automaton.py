@@ -19,7 +19,6 @@ from derivrex import (
     enumerate_lang,
     equivalent,
     from_json,
-    letters,
     parse,
     render,
     to_dot,
@@ -64,7 +63,7 @@ class TestBuildDfa:
     def test_identity_corpus_closes_within_64_states(self):
         for text in helpers.SUITE_TEXTS:
             e = parse(text)
-            alpha = sorted({"a", "b"} | set(letters(e)))
+            alpha = sorted({"a", "b"} | set(helpers.letters(e)))
             d = build_dfa(e, alpha, max_states=64)
             assert len(d.states) <= 64
 
@@ -80,6 +79,18 @@ class TestDfaAccepts:
         d = build_dfa(parse("a*"), "a")
         with pytest.raises(AlphabetError):
             dfa_accepts(d, "ab")
+
+
+class TestAlphabetCheck:
+    # B is in z's class, since the term has neither letter, so it copies
+    # z's column and is never derived: only the alphabet check sees it.
+    def test_build_dfa_rejects_a_letter_that_is_never_derived(self):
+        with pytest.raises(AlphabetError, match="'B' is not"):
+            build_dfa(parse("(a+b)*"), "abzB")
+
+    def test_equivalent_rejects_a_letter_that_is_never_derived(self):
+        with pytest.raises(AlphabetError, match="'B' is not"):
+            equivalent(parse("(a+b)*"), parse("(b+a)*"), "abzB")
 
 
 class TestEquivalent:
@@ -105,7 +116,7 @@ class TestEquivalent:
         # the enumerator can find
         pairs = list(zip(corpus, corpus[5:]))[:20]
         for e, f in pairs:
-            alpha = sorted({"a", "b"} | set(letters(e)) | set(letters(f)))
+            alpha = sorted({"a", "b"} | set(helpers.letters(e)) | set(helpers.letters(f)))
             v = equivalent(e, f, alpha)
             if v.equal:
                 assert enumerate_lang(e, 8).words == enumerate_lang(f, 8).words
@@ -116,7 +127,7 @@ class TestEquivalent:
 
     def test_verdict_matches_enumeration_at_bound_eight(self, corpus):
         for e, f in list(zip(corpus, corpus[3:]))[:20]:
-            alpha = sorted({"a", "b"} | set(letters(e)) | set(letters(f)))
+            alpha = sorted({"a", "b"} | set(helpers.letters(e)) | set(helpers.letters(f)))
             v = equivalent(e, f, alpha)
             same_slice = enumerate_lang(e, 8).words == enumerate_lang(f, 8).words
             if v.equal:
@@ -169,7 +180,7 @@ class TestExports:
 
     def test_json_round_trip(self, corpus):
         for e in corpus[:25]:
-            alpha = sorted({"a", "b"} | set(letters(e)))
+            alpha = sorted({"a", "b"} | set(helpers.letters(e)))
             d = build_dfa(e, alpha)
             assert from_json(to_json(d)) == d
 

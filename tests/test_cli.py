@@ -14,7 +14,7 @@ import helpers
 from derivrex.automaton import DEFAULT_MAX_PAIRS, DEFAULT_MAX_STATES
 from derivrex.cli import _argparser, _inferred_alphabet, main
 from derivrex.oracle import DEFAULT_CAP
-from derivrex.syntax import letters, parse, render
+from derivrex.syntax import parse, render
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -264,7 +264,7 @@ def test_inferred_alphabet_is_the_letters_of_the_term(e, spaces):
     for i in spaces:
         i %= len(text) + 1
         text = text[:i] + " " + text[i:]
-    assert _inferred_alphabet([text]) == tuple(sorted(letters(parse(text))))
+    assert _inferred_alphabet([text]) == tuple(sorted(helpers.letters(parse(text))))
 
 
 def test_unknown_command_exits_two(capsys):

@@ -115,6 +115,12 @@ class TestDerivWord:
                 matches(e, "abXb")
             with pytest.raises(AlphabetError, match="'A' is not"):
                 deriv_word("abA", f)
+        with pytest.raises(AlphabetError, match="'A' is not"):
+            deriv_sym("A", warm)
+        cold = parse("(a+b)*b(a+b)(b+a)")
+        assert canonicalize(cold)._derivs is None
+        with pytest.raises(AlphabetError, match="'ab' is not"):
+            deriv_sym("ab", cold)
 
     def test_sorted_word_union_builds_one_node_per_operand(self, monkeypatch):
         # The first 3,000 3-letter words put 676 under "a".  The derivative

@@ -6,7 +6,7 @@ the syntax tests; everything here genuinely needs the bisimulation check.
 
 import pytest
 
-from helpers import word_regex
+from helpers import letters, word_regex
 from derivrex import (
     Concat,
     Star,
@@ -14,7 +14,6 @@ from derivrex import (
     deriv_sym,
     enumerate_lang,
     equivalent,
-    letters,
     parse,
 )
 from derivrex.cli import COMMUTING_PAIR, IDENTITIES, NON_IDENTITIES

@@ -28,7 +28,6 @@ from derivrex import (
     deriv_sym,
     equivalent,
     intersect,
-    letters,
     matches,
     parse,
     render,
@@ -321,14 +320,14 @@ class TestWordHelpers:
         with pytest.raises(AlphabetError):
             word_regex("a1")
 
-    @pytest.mark.parametrize("ch", ['"', "\\", "A", "ab", "", "0", " "])
+    @pytest.mark.parametrize("ch", ['"', "\\", "A", "ab", "", "0", " ", 5])
     def test_symbols_are_single_lowercase_letters(self, ch):
         with pytest.raises(AlphabetError):
             Sym(ch)
 
     def test_letters(self):
-        assert letters(parse("a(b+c)*")) == frozenset("abc")
-        assert letters(EMPTY) == frozenset()
+        assert helpers.letters(parse("a(b+c)*")) == frozenset("abc")
+        assert helpers.letters(EMPTY) == frozenset()
 
 
 class TestWideChains:
@@ -336,7 +335,7 @@ class TestWideChains:
         e = parse(WIDE_UNION)
         assert canonicalize(e) is Union(A, B)
         assert matches(e, "a")
-        assert letters(e) == frozenset("ab")
+        assert helpers.letters(e) == frozenset("ab")
 
     def test_wide_union_of_distinct_words_matches_and_prints(self):
         e = parse(helpers.word_union_text())

@@ -120,6 +120,17 @@ def test_threads_building_the_same_terms_get_one_object():
     assert all(a is b for other in results[1:] for a, b in zip(results[0], other))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="__reduce__ hands back a term's fields, so pickle recurses once per level; "
+    "pickling the text instead loses the shared structure",
+)
+def test_pickling_a_deep_term():
+    e = parse("ab" * 1000)
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
 class TestInternTable:
     def test_a_late_callback_leaves_the_live_entry(self):
         # A term dies and its structure is interned again before the dead
