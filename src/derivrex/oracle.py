@@ -20,6 +20,7 @@ from .syntax import (
     Star,
     Sym,
     Union,
+    _bottom_up,
     require_symbol,
 )
 
@@ -41,15 +42,20 @@ def enumerate_lang(e: Regex, k: int, cap: int = DEFAULT_CAP) -> LangSample:
     """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
-    return LangSample(k, _slice(e, k, cap, {}))
+    return LangSample(k, _bottom_up(e, _slice, (k, cap, {})))
 
 
-def _slice(e: Regex, k: int, cap: int, memo: dict) -> frozenset[str]:
-    # memo holds the slices of subterms for one top-level call only.
-    out = memo.get(e)
-    if out is not None:
-        return out
+def _slice(e: Regex, arg: tuple) -> frozenset[str] | list[Regex]:
+    # The _bottom_up step of enumerate_lang: e's slice from its operands', or
+    # the operands with no slice yet.  The memo belongs to one call.
+    k, cap, memo = arg
+    if e in memo:
+        return memo[e]
     match e:
+        case Star(x) if x not in memo:
+            return [x]
+        case Union(l, r) | Intersect(l, r) | Diff(l, r) | Concat(l, r) if {l, r} - memo.keys():
+            return [x for x in (l, r) if x not in memo]
         case Empty():
             out = frozenset()
         case Epsilon():
@@ -57,26 +63,25 @@ def _slice(e: Regex, k: int, cap: int, memo: dict) -> frozenset[str]:
         case Sym(ch):
             out = frozenset({ch}) if k >= 1 else frozenset()
         case Union(l, r):
-            out = _slice(l, k, cap, memo) | _slice(r, k, cap, memo)
+            out = memo[l] | memo[r]
         case Intersect(l, r):
-            out = _slice(l, k, cap, memo) & _slice(r, k, cap, memo)
+            out = memo[l] & memo[r]
         case Diff(l, r):
-            out = _slice(l, k, cap, memo) - _slice(r, k, cap, memo)
+            out = memo[l] - memo[r]
         case Concat(l, r):
             # Any word uv with |uv| <= k has |u| <= k and |v| <= k, so
             # pairing the two k-slices is exact.
-            firsts, seconds = _slice(l, k, cap, memo), _slice(r, k, cap, memo)
             acc = set()
-            for u in firsts:
+            for u in memo[l]:
                 room = k - len(u)
-                acc.update(u + v for v in seconds if len(v) <= room)
+                acc.update(u + v for v in memo[r] if len(v) <= room)
                 if len(acc) > cap:
                     raise EnumerationBudgetError(cap)
             out = frozenset(acc)
         case Star(x):
             # Grow from the empty word by appending nonempty factors; every
             # star word of length <= k decomposes into such factors.
-            factors = [f for f in _slice(x, k, cap, memo) if f]
+            factors = [f for f in memo[x] if f]
             words = {""}
             frontier = [""]
             while frontier:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import cmp_to_key
 from operator import and_, attrgetter, gt, or_
 from typing import Callable, Iterable
 
@@ -419,18 +418,19 @@ def _text_step(e: Regex, _=None) -> str | list[Regex]:
 _sort_key = attrgetter("_key")
 
 
-def _compare(x: Regex, y: Regex) -> int:
-    # Three-way term order without recursion: pairs of sort keys on a stack,
-    # rank first, then the fields left to right.  Equal subterms are one
-    # term, so their keys are one tuple.
-    stack = [(x._key, y._key)]
-    while stack:
-        p, q = stack.pop()
-        if p is not q:
-            if p[0] != q[0] or p[0] == 2:  # another rank, or two letters
-                return -1 if p[:2] < q[:2] else 1
-            stack += zip(reversed(p[1:]), reversed(q[1:]))
-    return 0
+class _TallKey:
+    # A sort key compared in a loop, for keys too tall for C tuple comparison.
+    # Equal subterms share one key tuple, so the loop enters the first pair that differ.
+    __slots__ = ("key",)
+
+    def __init__(self, x: Regex):
+        self.key = x._key
+
+    def __lt__(self, other: _TallKey) -> bool:
+        p, q = self.key, other.key
+        while p is not q and p[0] == q[0] != 2:  # one rank, and not two letters
+            p, q = next((a, b) for a, b in zip(p[1:], q[1:]) if a is not b)
+        return p[:2] < q[:2]
 
 
 def _operands(e: Regex, cls: type) -> list[Regex]:
@@ -445,7 +445,7 @@ def _operands(e: Regex, cls: type) -> list[Regex]:
     return out
 
 
-def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
+def _merge(cls: type, first: Regex, rest: tuple[Regex, ...], key=_sort_key) -> Regex | None:
     # The chain of first's operands and rest's, joined by cls in canonical
     # order: term order without repeats or 0, except that 1 goes last so
     # results read the way sums are conventionally written: "(a+b)*a+1"
@@ -467,7 +467,7 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
             # 1, so neither is an operand that sorts after it.
             t = rest[0]
             top = node.right if type(node) is cls else node
-            if top is not None and type(t) is not cls and top._key < t._key:
+            if top is not None and type(t) is not cls and key(top) < key(t):
                 node = _node(cls, node, t)
                 return _node(cls, node, EPSILON) if one else node
         new: set[Regex] = set()
@@ -480,21 +480,22 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
         new.discard(EMPTY)
         new.discard(EPSILON)
         if new:
-            ordered = sorted(new, key=_sort_key)
+            ordered = sorted(new, key=key)
             low = ordered[0]
+            low_key = key(low)
             olds = []  # the operands taken off, largest first
             while node is not None:
                 top = node.right if type(node) is cls else node
                 if top is low:  # already in the prefix: add it once
                     del ordered[0]
                     break
-                if top._key < low._key:
+                if key(top) < low_key:
                     break
                 olds.append(top)
                 node = node.left if type(node) is cls else None
             merged = []
             for x in ordered:
-                while olds and olds[-1]._key < x._key:
+                while olds and key(olds[-1]) < key(x):
                     merged.append(olds.pop())
                 if olds and olds[-1] is x:
                     olds.pop()
@@ -505,16 +506,10 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...]) -> Regex | None:
         if one:
             node = EPSILON if node is None else _node(cls, node, EPSILON)
         return node
-    except RecursionError:
-        # Keys nest as deep as their terms, and two tall ones overflow the
-        # C comparison of nested tuples.  _compare gives the same order
-        # without recursion, so the chain is built again from its sorted
-        # operands.
-        ops = {x for t in (first, *rest) for x in _operands(t, cls)} - {EMPTY}
-        node = None
-        for x in sorted(ops - {EPSILON}, key=cmp_to_key(_compare)) + [EPSILON] * (EPSILON in ops):
-            node = x if node is None else _node(cls, node, x)
-        return node
+    except RecursionError:  # two tall keys overflow the C comparison of nested tuples
+        if key is _TallKey:
+            raise
+        return _merge(cls, first, rest, _TallKey)
 
 
 # ---------------------------------------------------------------------------

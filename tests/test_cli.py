@@ -149,10 +149,13 @@ class TestCheckIdentities:
 
 
 class TestBackstop:
-    def test_deep_nesting_is_an_error_not_a_traceback(self, capsys):
-        # The enumerator recurses by design, as a semantics apart from the
-        # engine, so a literal this long runs past the limit there.
-        code, out, err = run(capsys, "enum", "a" * 1200, "--bound", "1")
+    def test_deep_nesting_is_an_error_not_a_traceback(self, capsys, monkeypatch):
+        # A fault that is not a DerivrexError still ends as one error line.
+        def broken(*args):
+            raise RuntimeError("enumerator fault")
+
+        monkeypatch.setattr(derivrex.cli, "enumerate_lang", broken)
+        code, out, err = run(capsys, "enum", "a", "--bound", "1")
         assert code == 2
         assert out == ""
         assert err.startswith("derivrex: error: ")
@@ -160,17 +163,18 @@ class TestBackstop:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "expr,word",
+        "argv,out",
         [
-            ("(" * 170 + "a" + ")" * 170, "a"),
-            ("(" * 5000 + "a" + ")" * 5000, "a"),
-            ("(" * 300 + "a" + ")*" * 300, "aa"),
-            ("a" * 1200, "a" * 1200),
+            (["match", "(" * 170 + "a" + ")" * 170, "a"], "true\n"),
+            (["match", "(" * 5000 + "a" + ")" * 5000, "a"], "true\n"),
+            (["match", "(" * 300 + "a" + ")*" * 300, "aa"], "true\n"),
+            (["match", "a" * 1200, "a" * 1200], "true\n"),
+            (["enum", "a" * 1200, "--bound", "1"], ""),
         ],
-        ids=["170-groups", "5000-groups", "300-starred-groups", "1200-letters"],
+        ids=["170-groups", "5000-groups", "300-starred-groups", "1200-letters", "1200-letters-enum"],
     )
-    def test_deep_nesting_gets_an_answer(self, capsys, expr, word):
-        assert run(capsys, "match", expr, word) == (0, "true\n", "")
+    def test_deep_nesting_gets_an_answer(self, capsys, argv, out):
+        assert run(capsys, *argv) == (0, out, "")
 
     def test_long_literal_matches_itself(self, capsys):
         word = "a" * 400

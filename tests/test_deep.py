@@ -1,8 +1,8 @@
 """Terms far deeper than the interpreter's recursion limit.
 
-Every engine call answers on them: the per-node memos are filled on an
-explicit stack, and tall sort keys compare without recursion.  Only the
-oracle's enumerator recurses, by design.
+Every engine call answers on them, and so does the oracle's enumerator:
+the per-node memos and the enumerator's slices are filled on an explicit
+stack, and tall sort keys compare in a loop.
 """
 
 import gc
@@ -13,23 +13,29 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from derivrex import (
+    EMPTY,
     EPSILON,
+    Sym,
     Union,
     build_dfa,
     canonicalize,
+    concat,
     dfa_accepts,
     equivalent,
     matches,
     parse,
     render,
+    star,
     to_dot,
     to_json,
     union,
 )
+from derivrex import syntax
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,6 +88,63 @@ def test_union_of_long_literals_that_differ_last():
     assert union(u, EPSILON) is Union(u, EPSILON)
 
 
+def test_appending_tall_literals_one_at_a_time(monkeypatch):
+    # Each append compares keys 1,200 deep, past the C tuple comparison, so
+    # each merge runs again on tall keys, and still makes one comparison.
+    compares = []
+
+    class CountedKey(syntax._TallKey):
+        __slots__ = ()
+
+        def __lt__(self, other):
+            compares[-1] += 1
+            return super().__lt__(other)
+
+    monkeypatch.setattr(syntax, "_TallKey", CountedKey)
+    words = [parse("ab" * 600 + x + y) for x in "ab" for y in "abcdefghij"]
+    assert all(canonicalize(w) is w for w in words)
+    u = EMPTY
+    for w in words:
+        compares.append(0)
+        u = union(u, w)
+    assert compares == [0] + [1] * 19  # not a sort of every operand
+    assert u is union(EMPTY, *reversed(words))
+    assert syntax._operands(u, Union) == words
+
+
+def test_union_of_tall_keys_that_share_subkeys():
+    # u = concat(star(u), u): each key holds the one below twice, so written
+    # out as a tree it has 2^600 parts.  The comparison walks one path down
+    # to the first difference and skips the parts the two keys share.
+    def tower(x, n):
+        for _ in range(n):
+            x = concat(star(x), x)
+        return x
+
+    low, high = tower(Sym("a"), 600), tower(Sym("b"), 600)
+    assert union(high, low) is Union(low, high)
+    assert union(low, high) is Union(low, high)
+    shared = star(tower(Sym("c"), 60))  # 2^60 parts, ahead of the difference
+    for _ in range(1200):
+        low, high = concat(shared, low), concat(shared, high)
+    assert union(high, low) is Union(low, high)
+
+
+def test_a_tall_merge_that_overflows_raises(monkeypatch):
+    # The tall run is the last one: its RecursionError is not caught again.
+    calls = []
+
+    def tall_key(x):
+        calls.append(x)
+        raise RecursionError
+
+    monkeypatch.setattr(syntax, "_TallKey", tall_key)
+    low, high = parse("a" * 1999 + "b"), parse("a" * 1999 + "c")
+    with pytest.raises(RecursionError):
+        union(high, low)
+    assert len(calls) == 1
+
+
 def test_printing_a_long_literal_keeps_linear_memory():
     gc.collect()
     word = "ab" * 2500
@@ -102,8 +165,8 @@ def test_deep_terms_need_no_recursion():
     script = textwrap.dedent(
         """
         import copy, sys
-        from derivrex import (build_dfa, canonicalize, equivalent, matches, parse,
-                              render, to_dot, to_json, union)
+        from derivrex import (build_dfa, canonicalize, enumerate_lang, equivalent, matches,
+                              parse, render, to_dot, to_json, union)
 
         n = 2000
         literal = "ab" * (n // 2)
@@ -122,6 +185,7 @@ def test_deep_terms_need_no_recursion():
             c = canonicalize(e)
             assert canonicalize(c) is c and parse(render(c)) is c
             assert matches(e, "b") is matches_b
+            assert ("b" in enumerate_lang(e, 1).words) is matches_b
         d = build_dfa(parse(literal), "ab")
         assert len(d.states) == n + 2
         assert copy.deepcopy(d) == d
