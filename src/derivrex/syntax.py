@@ -370,17 +370,11 @@ def _text_step(e: Regex, _=None) -> str | list[Regex]:
     # The _bottom_up step of render: e's bare text from its operands' kept
     # texts.  Only the top of a chain keeps its text (kept on every part,
     # the texts would take memory quadratic in the chain), so a + - & chain
-    # is taken down its left spine, and a juxtaposition down its right one,
-    # to the first part already printed.
-    cls = type(e)
+    # is taken down its left spine, and a juxtaposition down both of its
+    # spines, to the first parts already printed.
+    cls, opened = type(e), 0
     if cls is Star:
         ops = [e.inner]
-    elif cls is Concat:
-        ops, node = [e.left], e.right
-        while type(node) is Concat and node._text is None:
-            ops.append(node.left)
-            node = node.right
-        ops.append(node)
     else:
         ops, node = [e.right], e.left
         while type(node) is cls and node._text is None:
@@ -388,6 +382,12 @@ def _text_step(e: Regex, _=None) -> str | list[Regex]:
             node = node.left
         ops.append(node)
         ops.reverse()
+    if cls is Concat:  # the products on the left spine, then the right spine
+        opened, node = len(ops) - 2, ops.pop()
+        while type(node) is Concat and node._text is None:
+            ops.append(node.left)
+            node = node.right
+        ops.append(node)
     prec, parts = _PREC[cls], []
     for x in ops:
         t = x._text
@@ -395,10 +395,15 @@ def _text_step(e: Regex, _=None) -> str | list[Regex]:
             return [x for x in ops if x._text is None]
         parts.append(f"({t})" if _PREC.get(type(x), 5) <= prec else t)
     # The loose place (the operand of a star, the prefix of + - &, the
-    # suffix of a juxtaposition) takes its own operator bare.
+    # suffix of a juxtaposition, the right operand of a product) takes its
+    # own operator bare; a product on the left spine closes after that operand.
     i = -1 if cls is Concat else 0
     if _PREC.get(type(ops[i])) == prec:
         parts[i] = ops[i]._text
+    if opened:
+        parts[0] = "(" * opened + parts[0]
+        for i in range(1, opened + 1):
+            parts[i] = (ops[i]._text if type(ops[i]) is Concat else parts[i]) + ")"
     text = _INFIX_TEXT.get(cls, "").join(parts) + ("*" if cls is Star else "")
     _set_text(e, text)
     return text
@@ -517,9 +522,9 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...], key=_sort_key) -> R
 #
 # The builders below assume canonical arguments and produce canonical
 # results; `canonicalize` applies them bottom-up to arbitrary terms.  Only
-# unit laws, ACI laws, and star collapses are rewritten here.  Identities
-# that need semantic reasoning, such as (1+a)* = a*, are deliberately left
-# to the equivalence checker.
+# the unit and zero laws, ACI of + and &, and star collapses are rewritten
+# here.  Other identities, such as (1+a)* = a* and (ab)c = a(bc), are
+# deliberately left to the equivalence checker.
 
 
 def union(*terms: Regex) -> Regex:
@@ -535,19 +540,14 @@ def union(*terms: Regex) -> Regex:
 
 
 def concat(left: Regex, right: Regex) -> Regex:
-    """Canonical concatenation: flatten right-nested, drop 1, absorb 0.
-
-    Only the left operand's factors are taken apart; a canonical right
-    operand is already nested to the right.
-    """
-    parts = _operands(left, Concat)
-    if right is EMPTY or EMPTY in parts:
+    """Canonical concatenation: absorb 0 and drop 1, keeping the grouping."""
+    if left is EMPTY or right is EMPTY:
         return EMPTY
-    node = right
-    for part in reversed(parts):
-        if part is not EPSILON:
-            node = part if node is EPSILON else _node(Concat, part, node)
-    return node
+    if left is EPSILON:
+        return right
+    if right is EPSILON:
+        return left
+    return _node(Concat, left, right)
 
 
 def star(inner: Regex) -> Regex:
@@ -571,10 +571,10 @@ def intersect(first: Regex, *rest: Regex) -> Regex:
 
 
 def diff(left: Regex, right: Regex) -> Regex:
-    """Canonical difference: subtracting 0 or the term itself simplifies."""
+    """Canonical difference: 0 - x, x - 0 and x - x simplify."""
     if right is EMPTY:
         return left
-    if left is right:
+    if left is right or left is EMPTY:
         return EMPTY
     return _node(Diff, left, right)
 

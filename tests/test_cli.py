@@ -286,6 +286,8 @@ GOLDEN = [
     (["derive", "a+a+0", ""], 0, "a\nnullable=false\n", ""),
     (["derive", "(a+b)*a", "ba"], 0, "(a+b)*a+1\nnullable=true\n", ""),
     (["derive", "ab", "a", "--alphabet", "abc"], 0, "b\nnullable=false\n", ""),
+    (["derive", "a-b", "b"], 0, "0\nnullable=false\n", ""),
+    (["derive", "(ab)*c", "a"], 0, "(b(ab)*)c\nnullable=false\n", ""),
     (
         ["derive", "ab", "a", "--alphabet", "a"],
         2,
@@ -368,6 +370,12 @@ GOLDEN = [
         ["dfa", "(a+b)*a", "--alphabet", "ba", "--format", "json"],
         0,
         "{\"alphabet\":[\"b\",\"a\"],\"states\":[\"(a+b)*a\",\"(a+b)*a+1\"],\"start\":0,\"accepting\":[1],\"transitions\":[{\"from\":0,\"symbol\":\"b\",\"to\":0},{\"from\":0,\"symbol\":\"a\",\"to\":1},{\"from\":1,\"symbol\":\"b\",\"to\":0},{\"from\":1,\"symbol\":\"a\",\"to\":1}]}\n",
+        "",
+    ),
+    (
+        ["dfa", "a-b", "--format", "json"],
+        0,
+        "{\"alphabet\":[\"a\",\"b\"],\"states\":[\"a-b\",\"1\",\"0\"],\"start\":0,\"accepting\":[1],\"transitions\":[{\"from\":0,\"symbol\":\"a\",\"to\":1},{\"from\":0,\"symbol\":\"b\",\"to\":2},{\"from\":1,\"symbol\":\"a\",\"to\":2},{\"from\":1,\"symbol\":\"b\",\"to\":2},{\"from\":2,\"symbol\":\"a\",\"to\":2},{\"from\":2,\"symbol\":\"b\",\"to\":2}]}\n",
         "",
     ),
     (["dfa", "0"], 2, "", "derivrex: error: the alphabet is empty; declare one with --alphabet\n"),

@@ -20,11 +20,13 @@ import helpers
 from derivrex import (
     EMPTY,
     EPSILON,
+    Concat,
     Sym,
     Union,
     build_dfa,
     canonicalize,
     concat,
+    deriv_word,
     dfa_accepts,
     equivalent,
     matches,
@@ -160,6 +162,34 @@ def test_printing_a_long_literal_keeps_linear_memory():
     assert held < 1_000_000
 
 
+def test_deriving_nested_starred_groups_builds_few_nodes():
+    # D_a of ((a*b)*b...)*b grows a product on the left at each level, and
+    # each level builds a few nodes.  Reassociating the products rebuilt
+    # every product below, about 2n^2 nodes in all (499,000 at n = 500).
+    n = 500
+    e = parse("(" * n + "a" + ")*b" * n)
+    before = len(syntax._INTERNED)
+    d = deriv_word("ab", e)
+    assert len(syntax._INTERNED) - before < 5000
+    assert matches(d, "b" * (n - 1))
+
+
+def test_printing_a_left_nested_product_keeps_one_text():
+    # ((ac)b)c...: only the top of the left spine keeps its text, as only
+    # the top of a right-nested literal does.  A short prefix such as ac
+    # may be live and printed already.
+    factors = "".join("cb"[i % 2] + ")" for i in range(2499))
+    e = parse("(" * 2499 + "a" + factors)
+    spine, node = [], e
+    while type(node) is Concat:
+        spine.append(node)
+        node = node.left
+    assert len(spine) == 2499
+    printed = {id(x) for x in spine if x._text is not None}
+    assert parse(render(e)) is e
+    assert [x for x in spine if x._text is not None and id(x) not in printed] == [e]
+
+
 def test_deep_terms_need_no_recursion():
     # With the limit at 100, any recursion per level of a term fails at once.
     script = textwrap.dedent(
@@ -176,6 +206,7 @@ def test_deep_terms_need_no_recursion():
             ("(" * n + "a" + ")*b" * n, True),
             ("-".join(["(a+b)*"] + ["ab"] * n), True),
             ("&".join(["(a+b)*", "a*b"] * (n // 2)), True),
+            ("(" * (n - 1) + "a" + "b)" * (n - 1), False),
         ]
         sys.setrecursionlimit(100)
         for text, matches_b in cases:

@@ -223,10 +223,5 @@ class TestUnionAndBooleanLaws:
         rhs = enumerate_lang(deriv_sym(a, e), 5).words - enumerate_lang(deriv_sym(a, f), 5).words
         assert lhs == rhs
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="diff(0, x) keeps the node 0-x, so the derivative of a-b by b prints 0-1 "
-        "and a DFA of a-b has two dead states",
-    )
     def test_difference_from_the_empty_language_is_empty(self):
         assert deriv_word("b", parse("a-b")) is EMPTY

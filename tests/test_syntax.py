@@ -25,6 +25,7 @@ from derivrex import (
     Union,
     build_dfa,
     canonicalize,
+    concat,
     deriv_sym,
     equivalent,
     intersect,
@@ -218,6 +219,20 @@ class TestCanonicalize:
         # (1+a)* = a* holds as languages but needs the equivalence checker;
         # canonical forms keep the two shapes apart.
         assert canonicalize(parse("(1+a)*")) != canonicalize(parse("a*"))
+
+    def test_products_keep_their_grouping(self):
+        # (ab)c = a(bc) as languages; canonical forms keep the two groupings,
+        # and the equivalence checker relates them.
+        left, right = canonicalize(parse("(ab)c")), canonicalize(parse("a(bc)"))
+        assert left is not right
+        assert equivalent(left, right, "abc").equal
+
+    def test_concat_applies_only_the_unit_and_zero_laws(self):
+        ab = parse("ab")
+        assert concat(ab, C) is Concat(ab, C)
+        assert concat(C, ab) is Concat(C, ab)
+        assert concat(EPSILON, ab) is ab is concat(ab, EPSILON)
+        assert concat(EMPTY, ab) is EMPTY is concat(ab, EMPTY)
 
     @given(helpers.regexes())
     def test_idempotent(self, e):
