@@ -280,12 +280,14 @@ def _bottom_up(e: Regex, step: Callable, arg: object = None):
 # ---------------------------------------------------------------------------
 # Parsing and printing
 #
-# The operator table: binding strength (higher binds tighter) and the infix
-# texts.  The parser and the printer both read it.
+# The operator table: binding strength (higher binds tighter), the infix
+# texts, and for each class the classes that bind more loosely than it.
+# The parser and the printer both read it.
 
 _PREC = {Union: 0, Diff: 1, Intersect: 2, Concat: 3, Star: 4}
 _INFIX = {"+": Union, "-": Diff, "&": Intersect}
 _INFIX_TEXT = {cls: op for op, cls in _INFIX.items()}
+_LOOSER = {cls: {c for c, q in _PREC.items() if q < p} for cls, p in _PREC.items()}
 
 
 def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
@@ -367,44 +369,36 @@ def render(e: Regex) -> str:
 
 
 def _text_step(e: Regex, _=None) -> str | list[Regex]:
-    # The _bottom_up step of render: e's bare text from its operands' kept
-    # texts.  Only the top of a chain keeps its text (kept on every part,
-    # the texts would take memory quadratic in the chain), so a + - & chain
-    # is taken down its left spine, and a juxtaposition down both of its
-    # spines, to the first parts already printed.
-    cls, opened = type(e), 0
-    if cls is Star:
-        ops = [e.inner]
-    else:
-        ops, node = [e.right], e.left
-        while type(node) is cls and node._text is None:
-            ops.append(node.right)
-            node = node.left
-        ops.append(node)
-        ops.reverse()
-    if cls is Concat:  # the products on the left spine, then the right spine
-        opened, node = len(ops) - 2, ops.pop()
-        while type(node) is Concat and node._text is None:
-            ops.append(node.left)
-            node = node.right
-        ops.append(node)
-    prec, parts = _PREC[cls], []
-    for x in ops:
-        t = x._text
-        if t is None:
-            return [x for x in ops if x._text is None]
-        parts.append(f"({t})" if _PREC.get(type(x), 5) <= prec else t)
-    # The loose place (the operand of a star, the prefix of + - &, the
-    # suffix of a juxtaposition, the right operand of a product) takes its
-    # own operator bare; a product on the left spine closes after that operand.
-    i = -1 if cls is Concat else 0
-    if _PREC.get(type(ops[i])) == prec:
-        parts[i] = ops[i]._text
-    if opened:
-        parts[0] = "(" * opened + parts[0]
-        for i in range(1, opened + 1):
-            parts[i] = (ops[i]._text if type(ops[i]) is Concat else parts[i]) + ")"
-    text = _INFIX_TEXT.get(cls, "").join(parts) + ("*" if cls is Star else "")
+    # The _bottom_up step of render: e's bare text, printed on an explicit
+    # stack in one pass over e's class region, the nodes of e's class below
+    # e that have no text.  Only e keeps its text (kept on every node of the
+    # region, the texts would take memory quadratic in its size).  A part of
+    # e's class goes bare on the loose side, and between parentheses on the
+    # tight side: the right of + - &, the left of a juxtaposition.  A part
+    # of another class goes between parentheses when it binds more loosely;
+    # one with no text yet is handed back to _bottom_up.
+    cls = type(e)
+    looser, op = _LOOSER[cls], _INFIX_TEXT.get(cls, "")
+    parts, todo, stack = [], [], [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            parts.append(x)
+        elif (t := x._text) is not None:
+            parts.append("(" + t + ")" if type(x) in looser else t)
+        elif type(x) is not cls:
+            todo.append(x)
+        elif cls is Star:
+            stack += ("*", x.inner)
+        elif cls is Concat:
+            stack += (x.right, ")", x.left, "(") if type(x.left) is cls else (x.right, x.left)
+        elif type(x.right) is cls:
+            stack += (")", x.right, "(", op, x.left)
+        else:
+            stack += (x.right, op, x.left)
+    if todo:
+        return todo
+    text = "".join(parts)
     _set_text(e, text)
     return text
 

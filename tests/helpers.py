@@ -77,6 +77,32 @@ def random_terms(count=20, depth=4, seed=RANDOM_SEED):
     return [gen(depth) for _ in range(count)]
 
 
+def product_terms(count=200, depth=5, seed=17):
+    """Deterministic sample of concatenation-heavy terms over {a, b, c}.
+
+    Products are drawn about half the time and keep the grouping they are
+    drawn with, so products nest on both sides and inside one another.
+    """
+    rng = random.Random(seed)
+    leaves = [EPSILON, Sym("a"), Sym("b"), Sym("c")]
+
+    def gen(d):
+        if d == 0 or rng.random() < 0.15:
+            return rng.choice(leaves)
+        r = rng.random()
+        if r < 0.55:
+            return Concat(gen(d - 1), gen(d - 1))
+        if r < 0.75:
+            return Star(gen(d - 1))
+        if r < 0.9:
+            return Union(gen(d - 1), gen(d - 1))
+        if r < 0.95:
+            return Intersect(gen(d - 1), gen(d - 1))
+        return Diff(gen(d - 1), gen(d - 1))
+
+    return [gen(depth) for _ in range(count)]
+
+
 def full_corpus():
     return [parse(t) for t in SUITE_TEXTS] + random_terms()
 
@@ -142,7 +168,7 @@ def regexes(alphabet="ab", max_leaves=8):
     return st.recursive(leaves, compound, max_leaves=max_leaves)
 
 
-DEEP_KINDS = ("literal", "star", "starred-group", "and", "minus")
+DEEP_KINDS = ("literal", "star", "starred-group", "and", "minus", "wrapped", "plus")
 
 
 @st.composite
@@ -151,8 +177,10 @@ def deep_terms(draw, kinds=DEEP_KINDS, alphabet="ab", min_depth=500, max_depth=3
 
     Each level puts a letter in front (a right-nested literal), a star
     around, a group starred and followed by a letter (a left-nested
-    (...)*x chain), or one more operand of a & or - chain on top.  The
-    levels are drawn from one or more of *kinds*, so the terms mix them.
+    (...)*x chain), one more operand of a & or - chain on top, a letter on
+    each side (a product nested alternately on its two sides, x(...)y), or
+    a letter in front of a + (a right-nested union).  The levels are drawn
+    from one or more of *kinds*, so the terms mix them.
     The term is built from a seeded generator, so a draw costs a few bytes
     whatever the depth.
     """
@@ -171,8 +199,12 @@ def deep_terms(draw, kinds=DEEP_KINDS, alphabet="ab", min_depth=500, max_depth=3
             node = Concat(Star(node), x)
         elif kind == "and":
             node = Intersect(node, Star(Union(x, Sym(rng.choice(alphabet)))))
-        else:
+        elif kind == "minus":
             node = Diff(node, Concat(x, x))
+        elif kind == "wrapped":
+            node = Concat(x, Concat(node, Sym(rng.choice(alphabet))))
+        else:
+            node = Union(x, node)
     return node
 
 
@@ -384,6 +416,37 @@ def star_expansion(w, e):
         head, tail = w[:cut], w[cut:]
         node = union(node, concat(delta(deriv_word(head, e)), star_expansion(tail, e)))
     return node
+
+
+_BINDING = {Union: 0, Diff: 1, Intersect: 2, Concat: 3, Star: 4, Sym: 5, Empty: 5, Epsilon: 5}
+_INFIX = {Union: "+", Diff: "-", Intersect: "&", Concat: ""}
+
+
+def reference_render(e):
+    """The plain recursive printer, as a reference for render.
+
+    0, 1 and letters print as themselves.  A part goes between parentheses
+    when it binds more loosely than its parent, or when it has its
+    parent's class and sits on the tight side: the right of + - &, the
+    left of a juxtaposition.  One frame per level of the term.
+    """
+    match e:
+        case Empty():
+            return "0"
+        case Epsilon():
+            return "1"
+        case Sym(ch):
+            return ch
+
+    def part(x, tight):
+        text = reference_render(x)
+        loose = _BINDING[type(x)] < _BINDING[type(e)] or (tight and type(x) is type(e))
+        return f"({text})" if loose else text
+
+    if type(e) is Star:
+        return part(e.inner, False) + "*"
+    product = type(e) is Concat
+    return part(e.left, product) + _INFIX[type(e)] + part(e.right, not product)
 
 
 def reference_parse(text, alphabet=None):

@@ -21,6 +21,9 @@ from derivrex import (
     EMPTY,
     EPSILON,
     Concat,
+    Diff,
+    Intersect,
+    Star,
     Sym,
     Union,
     build_dfa,
@@ -29,6 +32,7 @@ from derivrex import (
     deriv_word,
     dfa_accepts,
     equivalent,
+    from_json,
     matches,
     parse,
     render,
@@ -190,6 +194,57 @@ def test_printing_a_left_nested_product_keeps_one_text():
     assert [x for x in spine if x._text is not None and id(x) not in printed] == [e]
 
 
+def _region(e):
+    # The nodes of e's class reachable from e through nodes of that class.
+    found, stack = {}, [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is type(e) and id(x) not in found:
+            found[id(x)] = x
+            stack += [x.inner] if type(x) is Star else [x.left, x.right]
+    return list(found.values())
+
+
+A, B = Sym("a"), Sym("b")
+TOWERS = {
+    "alternate-product": lambda z: Concat(A, Concat(z, B)),
+    "star": Star,
+    "right-union": lambda z: Union(A, z),
+    "right-and": lambda z: Intersect(A, z),
+    "right-minus": lambda z: Diff(A, z),
+}
+
+
+@pytest.mark.parametrize("level", TOWERS.values(), ids=TOWERS)
+def test_printing_a_tower_keeps_one_text(level):
+    # A tower of one class prints in one pass, and only its top keeps a
+    # text.  Kept on every level, the texts take memory quadratic in the
+    # tower: 12.6 MB for 2,500 alternately nested products.  The lowest
+    # levels may be live and printed already.
+    e = A
+    for _ in range(2500):
+        e = level(e)
+    region = _region(e)
+    assert len(region) >= 2500
+    printed = {id(x) for x in region if x._text is not None}
+    assert parse(render(e)) is e
+    assert [x for x in region if x._text is not None and id(x) not in printed] == [e]
+
+
+def test_a_star_tower_round_trips_through_json_with_one_text():
+    state = "a" + "*" * 8000
+    tower = _region(parse(state))
+    printed = {id(x) for x in tower if x._text is not None}
+    doc = (
+        '{"alphabet":["a"],"states":["%s"],"start":0,"accepting":[0],'
+        '"transitions":[{"from":0,"symbol":"a","to":0}]}' % state
+    )
+    d = from_json(doc)
+    assert d.states[0] is tower[0]
+    assert to_json(d) == doc
+    assert [x for x in tower if x._text is not None and id(x) not in printed] == [tower[0]]
+
+
 def test_deep_terms_need_no_recursion():
     # With the limit at 100, any recursion per level of a term fails at once.
     script = textwrap.dedent(
@@ -207,6 +262,8 @@ def test_deep_terms_need_no_recursion():
             ("-".join(["(a+b)*"] + ["ab"] * n), True),
             ("&".join(["(a+b)*", "a*b"] * (n // 2)), True),
             ("(" * (n - 1) + "a" + "b)" * (n - 1), False),
+            ("a(" * (n - 1) + "abb" + ")b" * (n - 1), False),
+            ("a+(" * (n - 1) + "a+b" + ")" * (n - 1), True),
         ]
         sys.setrecursionlimit(100)
         for text, matches_b in cases:

@@ -141,6 +141,19 @@ class TestRender:
     def test_round_trips_through_parse(self, e):
         assert parse(render(e)) == e
 
+    def test_agrees_with_the_recursive_printer(self, corpus):
+        # parse(render(e)) is e holds with a redundant pair of parentheses
+        # too, so the bytes are pinned against the plain recursive printer.
+        randoms = [t for seed in range(5) for t in helpers.random_terms(40, 7, seed)]
+        terms = [*corpus, *randoms, *helpers.product_terms()]
+        states = {s for e in corpus for s in build_dfa(e, "ab").states}
+        for t in [*terms, *map(canonicalize, terms), *states]:
+            assert render(t) == helpers.reference_render(t)
+
+    @given(helpers.regexes("abc", max_leaves=16))
+    def test_agrees_with_the_recursive_printer_on_any_term(self, e):
+        assert render(e) == helpers.reference_render(e)
+
     # to_json writes state texts between quotes without escaping them.
     PRINTABLE = re.compile(r"[a-z01()+\-&*]*")
 
