@@ -281,13 +281,15 @@ def _bottom_up(e: Regex, step: Callable, arg: object = None):
 # Parsing and printing
 #
 # The operator table: binding strength (higher binds tighter), the infix
-# texts, and for each class the classes that bind more loosely than it.
-# The parser and the printer both read it.
+# texts, and for each class the classes of the parts the printer puts in
+# parentheses: those that bind more loosely, and its own on the tight side,
+# which is the right of + - &, the left of a juxtaposition.
 
 _PREC = {Union: 0, Diff: 1, Intersect: 2, Concat: 3, Star: 4}
 _INFIX = {"+": Union, "-": Diff, "&": Intersect}
-_INFIX_TEXT = {cls: op for op, cls in _INFIX.items()}
 _LOOSER = {cls: {c for c, q in _PREC.items() if q < p} for cls, p in _PREC.items()}
+_WRAP = {cls: (_LOOSER[cls], _LOOSER[cls] | {cls}, op) for op, cls in _INFIX.items()}
+_WRAP[Concat] = (_LOOSER[Concat] | {Concat}, _LOOSER[Concat], "")  # left, right, infix
 
 
 def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
@@ -365,37 +367,35 @@ def render(e: Regex) -> str:
     """Concrete syntax for a term.  parse(render(e)) gives back e itself."""
     if not isinstance(e, Regex):
         raise TypeError(f"not a regex term: {e!r}")
-    return e._text or _bottom_up(e, _text_step)
+    return e._text or _bottom_up(e, _text_step, e)
 
 
-def _text_step(e: Regex, _=None) -> str | list[Regex]:
-    # The _bottom_up step of render: e's bare text, printed on an explicit
-    # stack in one pass over e's class region, the nodes of e's class below
-    # e that have no text.  Only e keeps its text (kept on every node of the
-    # region, the texts would take memory quadratic in its size).  A part of
-    # e's class goes bare on the loose side, and between parentheses on the
-    # tight side: the right of + - &, the left of a juxtaposition.  A part
-    # of another class goes between parentheses when it binds more loosely;
-    # one with no text yet is handed back to _bottom_up.
+def _text_step(e: Regex, root: Regex) -> str | list[Regex]:
+    # The _bottom_up step of render: e's text, printed on an explicit stack
+    # where every node pushes its parts, in parentheses where _WRAP says so.
+    # Only root keeps its text, and so do the parts of another class in its
+    # class region, which automaton states share: root hands them back, and
+    # they print all below them inline, so texts total twice root's at most.
     cls = type(e)
-    looser, op = _LOOSER[cls], _INFIX_TEXT.get(cls, "")
     parts, todo, stack = [], [], [e]
     while stack:
         x = stack.pop()
         if type(x) is str:
             parts.append(x)
         elif (t := x._text) is not None:
-            parts.append("(" + t + ")" if type(x) in looser else t)
-        elif type(x) is not cls:
+            parts.append(t)
+        elif type(x) is not cls and e is root:
             todo.append(x)
-        elif cls is Star:
-            stack += ("*", x.inner)
-        elif cls is Concat:
-            stack += (x.right, ")", x.left, "(") if type(x.left) is cls else (x.right, x.left)
-        elif type(x.right) is cls:
-            stack += (")", x.right, "(", op, x.left)
+        elif type(x) is Star:
+            stack += ("*", ")", x.inner, "(") if type(x.inner) in _LOOSER[Star] else ("*", x.inner)
         else:
-            stack += (x.right, op, x.left)
+            left, right = x.left, x.right
+            wrap_left, wrap_right, op = _WRAP[type(x)]
+            stack += (")", right, "(", op) if type(right) in wrap_right else (right, op)
+            if type(left) in wrap_left:
+                stack += (")", left, "(")
+            else:
+                stack.append(left)
     if todo:
         return todo
     text = "".join(parts)

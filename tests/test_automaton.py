@@ -11,6 +11,7 @@ from derivrex import (
     AutomatonFormatError,
     Dfa,
     EquivVerdict,
+    ParseError,
     StateBudgetError,
     PairBudgetError,
     build_dfa,
@@ -271,11 +272,24 @@ class TestFromJsonErrors:
             pytest.param("[" * 100_000, id="nested-too-deep"),
             pytest.param(b"\xff\xfe{", id="not-unicode"),
             pytest.param('{"start": ' + "9" * 5000 + "}", id="start-too-many-digits"),
+            pytest.param(_broken(_set(["alphabet"], ["a", "b", "a"])), id="letter-listed-twice"),
+            pytest.param(_broken(_set(["alphabet", 1], "A")), id="alphabet-uppercase"),
+            pytest.param(_broken(_set(["alphabet", 1], "ab")), id="alphabet-two-letters"),
+            pytest.param(_broken(_set(["alphabet", 1], 1)), id="alphabet-a-number"),
+            pytest.param(_broken(_set(["states", 1], 1)), id="state-a-number"),
+            pytest.param(_broken(_set(["start"], True)), id="start-true"),
+            pytest.param(_broken(_set(["accepting"], [True])), id="accepting-true"),
+            pytest.param(_broken(_set(["transitions", 0, "symbol"], 0)), id="symbol-a-number"),
+            pytest.param(_broken(_set(["transitions", 0], [0, "a", 1])), id="transition-a-list"),
         ],
     )
     def test_rejected(self, text):
         with pytest.raises(AutomatonFormatError):
             from_json(text)
+
+    def test_unparsable_state_raises_parse_error(self):
+        with pytest.raises(ParseError):
+            from_json(_broken(_set(["states", 1], "a+")))
 
 
 def test_records_keep_their_repr_and_are_immutable():

@@ -245,6 +245,58 @@ def test_a_star_tower_round_trips_through_json_with_one_text():
     assert [x for x in tower if x._text is not None and id(x) not in printed] == [tower[0]]
 
 
+def _nodes(e):
+    # Every node of e other than 0, 1 and symbols, each once.
+    found, stack = {}, [e]
+    while stack:
+        x = stack.pop()
+        if type(x) in (Star, Concat, Intersect, Diff, Union) and id(x) not in found:
+            found[id(x)] = x
+            stack += [x.inner] if type(x) is Star else [x.left, x.right]
+    return list(found.values())
+
+
+C = Sym("c")
+ALTERNATING = {  # the levels of a tower, in turn
+    "starred-group": [lambda z: Concat(Star(z), B)],
+    "star-of-product": [lambda z: Star(Concat(z, B))],
+    "and-plus": [lambda z: Intersect(C, z), lambda z: Union(B, z)],
+}
+
+
+@pytest.mark.parametrize("levels", ALTERNATING.values(), ids=ALTERNATING)
+def test_printing_an_alternating_tower_keeps_two_texts(levels):
+    # Only the printed term keeps its text, and so does its one part of
+    # another class, which prints all below it inline.  With a text on
+    # every level, 2,500 nested (…)*b held 25 MB.
+    e = A
+    for i in range(2500):
+        e = levels[i % len(levels)](e)
+    nodes = _nodes(e)
+    assert len(nodes) >= 2500
+    printed = {id(x) for x in nodes if x._text is not None}
+    assert parse(render(e)) is e
+    below = {Star: "inner", Concat: "left", Union: "right"}[type(e)]
+    new = [x for x in nodes if x._text is not None and id(x) not in printed]
+    assert new == [e, getattr(e, below)]
+
+
+def test_nested_starred_groups_round_trip_through_json_with_two_texts():
+    # render's own text of 4,000 nested (…)*b, 16 KB.
+    state = "(" * 3999 + "a*b" + ")*b" * 3999
+    e = parse(state)
+    nodes = _nodes(e)
+    printed = {id(x) for x in nodes if x._text is not None}
+    doc = (
+        '{"alphabet":["a","b"],"states":["%s"],"start":0,"accepting":[],'
+        '"transitions":[{"from":0,"symbol":"a","to":0},{"from":0,"symbol":"b","to":0}]}' % state
+    )
+    d = from_json(doc)
+    assert d.states[0] is e
+    assert to_json(d) == doc
+    assert [x for x in nodes if x._text is not None and id(x) not in printed] == [e, e.left]
+
+
 def test_deep_terms_need_no_recursion():
     # With the limit at 100, any recursion per level of a term fails at once.
     script = textwrap.dedent(
