@@ -12,8 +12,8 @@ from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
 from .derivative import _deriv, classes, nullable
-from .errors import AlphabetError, AutomatonFormatError, PairBudgetError, StateBudgetError
-from .syntax import LETTERS, Regex, Word, _alphabet, canonicalize, parse, render
+from .errors import AutomatonFormatError, PairBudgetError, StateBudgetError
+from .syntax import LETTERS, Regex, Word, _alphabet, canonicalize, parse, render, require_word
 
 DEFAULT_MAX_STATES = 10_000
 DEFAULT_MAX_PAIRS = 100_000
@@ -90,12 +90,14 @@ def build_dfa(
 
 
 def dfa_accepts(d: Dfa, w: Word) -> bool:
-    """Run the automaton over *w* and report acceptance."""
+    """Run the automaton over *w* and report acceptance.
+
+    Raises AlphabetError, with the position, at the first symbol of *w*
+    that is not in the automaton's alphabet.
+    """
     columns = {a: i for i, a in enumerate(d.alphabet)}
     state = d.start
-    for ch in w:
-        if ch not in columns:
-            raise AlphabetError(f"symbol {ch!r} is not in the automaton's alphabet")
+    for ch in require_word(w, columns):
         state = d.transitions[state][columns[ch]]
     return state in d.accepting
 

@@ -22,7 +22,7 @@ from .automaton import (
 from .derivative import deriv_word, nullable
 from .errors import AlphabetError, DerivrexError
 from .oracle import DEFAULT_CAP, dump_words, enumerate_lang
-from .syntax import LETTERS, _alphabet, parse, render
+from .syntax import LETTERS, _alphabet, parse, render, require_word
 
 # The identity suite: classic equational facts about regular expressions,
 # each given as a chain of expressions expected to denote one language, and
@@ -216,9 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         elif not (alpha := _alphabet(args.alphabet)):
             raise AlphabetError("the declared alphabet is empty")
         terms = [parse(text, alpha) for text in texts]
-        for i, ch in enumerate(getattr(args, "word", "")):  # derive and match
-            if ch not in alpha:
-                raise AlphabetError(f"word symbol {ch!r} at position {i} is not in the alphabet")
+        require_word(getattr(args, "word", ""), alpha)  # derive and match
         return COMMANDS[args.command][0](args, alpha, *terms)
     except DerivrexError as exc:
         print(f"derivrex: error: {exc}", file=sys.stderr)

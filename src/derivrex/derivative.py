@@ -49,7 +49,8 @@ def deriv_sym(a: str, e: Regex) -> Regex:
 def _deriv(a: str, e: Regex) -> Regex:
     # e is canonical, so every subterm is canonical and the builders keep
     # the result canonical.  Results are kept on e, one per symbol.  a is
-    # checked on a miss, before it becomes a key, so every key is a letter.
+    # checked on a miss, before it becomes a key, so every string key is a
+    # letter; the other keys are the terms _merge put under a + or & chain.
     memo = e._derivs
     return memo and memo.get(a) or _bottom_up(e, _deriv_step, require_symbol(a))
 
@@ -161,7 +162,9 @@ def deriv_word(w: Word, e: Regex) -> Regex:
     miss computes the derivative, which fills the table in.  _deriv checks
     each symbol before it becomes a key, so a hit proves the symbol valid
     and a bad symbol raises the same AlphabetError whether the table is
-    warm or cold.
+    warm or cold.  The table of a + or & chain also keeps, keyed by terms,
+    the chains that union and intersect built with those terms under it;
+    a string never equals a term, so a symbol never finds them.
     """
     node = canonicalize(e)
     for ch in w:

@@ -47,7 +47,9 @@ class Regex:
     cost O(1) whatever the size of the term.  Every node keeps its own memos
     (sort key, nullability, canonical form, derivatives, derivative classes,
     printed text), which are freed together with the last reference to the
-    node.  Terms are immutable: setting an attribute raises AttributeError.
+    node.  The derivative table of a + or & chain also keeps the chains
+    built with a term under it, keyed by that term.  Terms are immutable:
+    setting an attribute raises AttributeError.
     """
 
     __slots__ = (
@@ -252,6 +254,16 @@ def require_symbol(ch: str) -> str:
     if ch not in LETTERS:
         raise AlphabetError(f"{ch!r} is not a single lowercase letter")
     return ch
+
+
+def require_word(w: Word, alphabet: Iterable[str]) -> Word:
+    """Return *w* if all its symbols are in *alphabet*, else raise
+    AlphabetError naming the first symbol that is not, and its position."""
+    allowed = frozenset(alphabet)
+    if allowed.issuperset(w):
+        return w
+    i = next(i for i, ch in enumerate(w) if ch not in allowed)
+    raise AlphabetError(f"word symbol {w[i]!r} at position {i} is not in the alphabet")
 
 
 def _alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
@@ -469,6 +481,29 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...], key=_sort_key) -> R
             if top is not None and type(t) is not cls and key(top) < key(t):
                 node = _node(cls, node, t)
                 return _node(cls, node, EPSILON) if one else node
+            # One operand or chain that sorts below the whole chain goes under
+            # it with one comparison, at the bottom.  Each prefix passed keeps
+            # its own chain with t under it in its derivative table, keyed by
+            # t, so t goes under it, or under any chain that shares it, with
+            # one lookup and one node per operand above it.
+            low = t.right if type(t) is cls else t
+            if type(node) is cls and low is not EMPTY and low is not EPSILON:
+                passed, under = [], node
+                while type(under) is cls:
+                    if (memo := under._derivs) and (kept := memo.get(t)):
+                        under = kept
+                        break
+                    passed.append(under)
+                    under = under.left
+                else:  # the bottom operand
+                    under = _node(cls, t, under) if key(low) < key(under) else None
+                if under is not None:
+                    for prefix in reversed(passed):
+                        under = _node(cls, under, prefix.right)
+                        if prefix._derivs is None:
+                            _set_derivs(prefix, {})
+                        prefix._derivs[t] = under
+                    return _node(cls, under, EPSILON) if one else under
         new: set[Regex] = set()
         for t in rest:
             if type(t) is cls:
@@ -527,6 +562,8 @@ def union(*terms: Regex) -> Regex:
     The first operand's chain keeps its sorted prefix: the nodes below the
     smallest operand the others add are reused, and only those above are
     built, so adding one operand at the end of a chain builds one node.
+    One operand or chain that sorts below the whole first chain is put
+    under it once: the chain keeps the result.
     """
     if not terms:
         return EMPTY

@@ -56,6 +56,10 @@ class TestBuildDfa:
         assert len(d.states) == 2
         assert d.accepting == {0}
 
+    def test_state_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_states must be positive"):
+            build_dfa(parse("a"), "ab", max_states=0)
+
     def test_state_budget(self):
         with pytest.raises(StateBudgetError) as err:
             build_dfa(parse("a(a+b)*"), "ab", max_states=2)
@@ -81,6 +85,12 @@ class TestDfaAccepts:
         with pytest.raises(AlphabetError):
             dfa_accepts(d, "ab")
 
+    def test_bad_symbol_reports_its_position(self):
+        d = build_dfa(parse("(a+b)*"), "ab")
+        message = "^word symbol 'c' at position 3 is not in the alphabet$"
+        with pytest.raises(AlphabetError, match=message):
+            dfa_accepts(d, "abacab")
+
 
 class TestAlphabetCheck:
     # B is in z's class, since the term has neither letter, so it copies
@@ -95,6 +105,10 @@ class TestAlphabetCheck:
 
 
 class TestEquivalent:
+    def test_pair_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_pairs must be positive"):
+            equivalent(parse("a"), parse("b"), "ab", max_pairs=0)
+
     def test_equal_pair(self):
         assert equivalent(parse("(a+b)*"), parse("(a*b*)*"), "ab").equal
 

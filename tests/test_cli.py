@@ -142,6 +142,19 @@ class TestCheckIdentities:
         assert any(line.startswith("note:") and "equal" in line for line in lines)
         assert lines[-1] == "check-identities: 19/19 checks passed"
 
+    def test_a_wrong_row_fails_and_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(derivrex.cli, "IDENTITIES", (("a", "a+b"),))
+        monkeypatch.setattr(derivrex.cli, "NON_IDENTITIES", (("a+b", "b+a"),))
+        monkeypatch.setattr(derivrex.cli, "COMMUTING_PAIR", ("ab", "ba"))
+        code, out, _ = run(capsys, "check-identities")
+        assert code == 1
+        assert out == (
+            'identity 01: a = a+b ... FAIL (counterexample "b")\n'
+            "non-identity 1: a+b vs b+a ... FAIL (reported equal)\n"
+            "note: ab vs ba ... FAIL (expected these to be equal)\n"
+            "check-identities: 0/3 checks passed\n"
+        )
+
     def test_output_is_deterministic(self, capsys):
         first = run(capsys, "check-identities")
         second = run(capsys, "check-identities")

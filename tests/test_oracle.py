@@ -65,6 +65,12 @@ class TestEnumerate:
         with pytest.raises(EnumerationBudgetError):
             enumerate_lang(parse("(a+b)*"), 10, cap=100)
 
+    def test_budget_cap_on_a_product(self):
+        # Both factors fit in the cap of 3; their product of 4 words does
+        # not, and is stopped while it is paired up.
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_lang(parse("(a+b)(a+b)"), 2, cap=3)
+
     @given(helpers.regexes(max_leaves=6), st.integers(min_value=0, max_value=5))
     def test_slices_grow_monotonically(self, e, k):
         small = enumerate_lang(e, k).words

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import re
 import time
 import tracemalloc
@@ -27,6 +28,7 @@ from derivrex import (
     canonicalize,
     concat,
     deriv_sym,
+    deriv_word,
     equivalent,
     intersect,
     matches,
@@ -34,6 +36,7 @@ from derivrex import (
     render,
     union,
 )
+from derivrex import syntax
 from derivrex.syntax import _INTERNED, _operands
 
 A, B, C = Sym("a"), Sym("b"), Sym("c")
@@ -137,6 +140,10 @@ class TestRender:
     def test_examples(self, term, text):
         assert render(term) == text
 
+    def test_rejects_what_is_not_a_term(self):
+        with pytest.raises(TypeError, match="not a regex term: 5"):
+            render(5)
+
     @given(helpers.regexes())
     def test_round_trips_through_parse(self, e):
         assert parse(render(e)) == e
@@ -214,6 +221,9 @@ class TestCanonicalize:
     )
     def test_rewrites(self, term, expected):
         assert canonicalize(term) == expected
+
+    def test_union_of_nothing_is_empty(self):
+        assert union() is EMPTY
 
     def test_sums_put_epsilon_last(self):
         # Unit sums read the way they are conventionally written down.
@@ -335,6 +345,71 @@ class TestBuildersBuildOnlyNewNodes:
         got, built = self.count_built(build, first, t)
         assert built == 4  # m+n is kept; p, q, r and s go on top of it
         assert got is reference(first, t)
+
+
+@pytest.mark.parametrize("op,build,reference", BUILDERS)
+class TestInsertionUnderAChain:
+    """An operand or a chain that sorts below every operand of the first
+    chain goes under it, and each prefix passed keeps the result."""
+
+    # Distinct canonical terms over abc in term order, none of them 0 or 1.
+    POOL = sorted(
+        {canonicalize(e) for e in helpers.product_terms(count=120, seed=21)} - {EMPTY, EPSILON},
+        key=helpers.term_key,
+    )
+
+    @classmethod
+    def draws(cls, op, reference):
+        # Seeded pairs of t and C's operands: 3 to 8 pool terms not of the
+        # builder's class, the lowest j of them joined into t.
+        kind = Union if op == "+" else Intersect
+        pool = [x for x in cls.POOL if type(x) is not kind]
+        rng = random.Random(2121)
+        for _ in range(60):
+            ops = sorted(rng.sample(pool, rng.randint(3, 8)), key=helpers.term_key)
+            j = rng.randint(1, len(ops) - 2)
+            yield reference(*ops[:j]), ops[j:]
+
+    def test_agrees_with_set_and_sort(self, op, build, reference):
+        for t, above in self.draws(op, reference):
+            for tops in ((), (EPSILON,)):
+                chain = reference(*above, *tops)
+                want = reference(chain, t)
+                assert build(chain, t) is want  # built
+                assert build(chain, t) is want  # kept
+                # Every shorter prefix, and each one under a new top, finds
+                # the result its own prefixes keep.
+                for k in range(2, len(above)):
+                    prefix = reference(*above[:k], *tops)
+                    assert build(prefix, t) is reference(prefix, t)
+                    assert build(reference(prefix, above[-1]), t) is reference(prefix, above[-1], t)
+
+    @pytest.mark.parametrize("top", ["", "+1"])
+    def test_a_repeated_insertion_makes_at_most_one_node_call(
+        self, op, build, reference, top, monkeypatch
+    ):
+        chain, t = (canonicalize(parse(x.replace("+", op))) for x in ("m+n+q+s" + top, "k+l"))
+        want = reference(chain, t)
+        assert build(chain, t) is want
+        calls = []
+        node = syntax._node
+        monkeypatch.setattr(syntax, "_node", lambda *args: calls.append(args) or node(*args))
+        assert build(chain, t) is want
+        assert len(calls) <= 1  # a rebuild makes one per operand of the result
+
+    def test_bad_symbol_raises_with_a_chain_key_in_the_table(self, op, build, reference):
+        # Tables keyed by letters also hold chains' insertions; a bad symbol
+        # is still checked before it is looked up, warm or cold.
+        chain, t = (canonicalize(parse(x.replace("+", op))) for x in ("b*+(a+b)*ba", "a"))
+        build(chain, t)
+        assert list(chain._derivs) == [t]
+        for _ in ("cold", "warm"):
+            with pytest.raises(AlphabetError, match="'X' is not"):
+                matches(chain, "Xb")
+            with pytest.raises(AlphabetError, match="'A' is not"):
+                deriv_word("bA", chain)
+            assert [matches(chain, w) for w in "ab"] == [False, op == "+"]
+        assert chain._derivs.keys() == {t, "a", "b"}
 
 
 class TestWordHelpers:
