@@ -68,8 +68,9 @@ def build_dfa(
     index = {start: 0}
     states = [start]
     rows = []
+    maps: dict = {}  # the class maps of this build, for _class_leaders
     for state in states:  # grows as new states turn up
-        leaders = _class_leaders(alpha, state)
+        leaders = _class_leaders(alpha, maps, state)
         row = []
         for j, a in enumerate(alpha):
             if leaders[j] < j:
@@ -128,11 +129,12 @@ def equivalent(
     first = (canonicalize(e), canonicalize(f))
     seen = {first}
     queue: deque[tuple[tuple[Regex, Regex], str]] = deque([(first, "")])
+    maps: dict = {}  # the class maps of this search, for _class_leaders
     while queue:
         (p, q), word = queue.popleft()
         if nullable(p) != nullable(q):
             return EquivVerdict(False, word)
-        leaders = _class_leaders(alpha, p, q)
+        leaders = _class_leaders(alpha, maps, p, q)
         for j, a in enumerate(alpha):
             if leaders[j] < j:
                 continue
@@ -145,14 +147,14 @@ def equivalent(
     return EquivVerdict(True, None)
 
 
-def _class_leaders(alpha: tuple[str, ...], p: Regex, q: Regex | None = None) -> Sequence[int]:
+def _class_leaders(alpha: tuple, maps: dict, p: Regex, q: Regex | None = None) -> Sequence[int]:
     # For each letter, the position in alpha of the first letter in the same
-    # class of p (and of q): a letter leads its class when that is itself.
-    # Over two letters the class maps cost more than the at most one
-    # derivative they save, so there every letter leads.
+    # class of p (and of q), whose maps go into maps: a letter leads its class
+    # when that is itself.  Over two letters the maps cost more than the at
+    # most one derivative they save, so there every letter leads.
     if len(alpha) < 3:
         return range(len(alpha))
-    cp, cq = classes(p), {} if q is None else classes(q)
+    cp, cq = classes(p, maps), {} if q is None else classes(q, maps)
     first: dict[tuple, int] = {}
     return [first.setdefault((cp.get(a), cq.get(a)), j) for j, a in enumerate(alpha)]
 

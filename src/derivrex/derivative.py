@@ -20,7 +20,6 @@ from .syntax import (
     Word,
     _BUILD,
     _bottom_up,
-    _set_classes,
     _set_derivs,
     canonicalize,
     concat,
@@ -100,7 +99,7 @@ def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
     return d
 
 
-def classes(e: Regex) -> dict[str, int]:
+def classes(e: Regex, memo: dict[Regex, dict[str, int]] | None = None) -> dict[str, int]:
     """The derivative classes of a canonical term, as a map from letter to id.
 
     Letters with one id have the same derivative, the very same object.  A
@@ -109,16 +108,18 @@ def classes(e: Regex) -> dict[str, int]:
     mention.  These are the classes of Owens, Reppy & Turon (JFP 2009,
     section 4.2), except that all symbol operands of a union form one block
     before the other operands refine it, so (a+b+...+z) has a single class
-    rather than 26.  The map is kept on the node.
+    rather than 26.  No node keeps a map: the maps of e and its parts go
+    into *memo*, which the caller owns, or into a fresh dict if none is given.
     """
-    m = e._classes
-    return m if m is not None else _bottom_up(e, _classes_step)
+    memo = {} if memo is None else memo
+    m = memo.get(e)  # the map of 1 is {}, so any map at all is a hit
+    return m if m is not None else _bottom_up(e, _classes_step, memo)
 
 
-def _classes_step(e: Regex, _=None) -> dict[str, int] | list[Regex]:
+def _classes_step(e: Regex, memo: dict) -> dict[str, int] | list[Regex]:
     # The _bottom_up step of classes: the meet of the children's maps, or
-    # the children whose maps are missing.  A union's symbol operands form
-    # one block before the others refine it.
+    # the children not yet in memo.  A union's symbol operands form one
+    # block before the others refine it.
     cls = type(e)
     m = {e.ch: 0} if cls is Sym else {}
     if cls is Union:
@@ -133,13 +134,13 @@ def _classes_step(e: Regex, _=None) -> dict[str, int] | list[Regex]:
         kids = (e.left, e.right) if e.left._nullable else (e.left,)
     else:
         kids = (e.inner,) if cls is Star else (e.left, e.right) if cls in _BUILD else ()
-    todo = [x for x in kids if x._classes is None]
+    todo = [x for x in kids if x not in memo]
     if todo:
         return todo
-    # Operands often share one map object: ab, a* and a all keep a's.
-    for part in {id(x._classes): x._classes for x in kids}.values():
+    # Operands often share one map object: ab, a* and a all have a's.
+    for part in {id(p): p for p in map(memo.__getitem__, kids)}.values():
         m = _meet(m, part)
-    _set_classes(e, m)
+    memo[e] = m
     return m
 
 

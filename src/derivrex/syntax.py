@@ -45,16 +45,14 @@ class Regex:
     Terms are hash-consed: building a term structurally equal to a live one
     returns that very object, so equality and hashing are by identity and
     cost O(1) whatever the size of the term.  Every node keeps its own memos
-    (sort key, nullability, canonical form, derivatives, derivative classes,
-    printed text), which are freed together with the last reference to the
-    node.  The derivative table of a + or & chain also keeps the chains
-    built with a term under it, keyed by that term.  Terms are immutable:
-    setting an attribute raises AttributeError.
+    (sort key, nullability, canonical form, derivatives, printed text),
+    which are freed together with the last reference to the node.  The
+    derivative table of a + or & chain also keeps the chains built with a
+    term under it, keyed by that term.  Terms are immutable: setting an
+    attribute raises AttributeError.
     """
 
-    __slots__ = (
-        "_key", "_nullable", "_canon", "_derivs", "_classes", "_text", "__weakref__"
-    )
+    __slots__ = ("_key", "_nullable", "_canon", "_derivs", "_text", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -179,9 +177,9 @@ def _drop(ref: _Ref, table: dict = _INTERNED, remove=_remove_dead_weakref) -> No
 # Regex.__setattr__ refuses every assignment, so slots are filled through
 # their descriptors' setters, bound once here.  The builders call the
 # constructors below directly, and the classes only delegate to them.
-_set_key, _set_nullable, _set_canon, _set_derivs, _set_classes, _set_text = (
+_set_key, _set_nullable, _set_canon, _set_derivs, _set_text = (
     getattr(Regex, name).__set__
-    for name in ("_key", "_nullable", "_canon", "_derivs", "_classes", "_text")
+    for name in ("_key", "_nullable", "_canon", "_derivs", "_text")
 )
 _set_ch, _set_inner = Sym.ch.__set__, Star.inner.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
@@ -197,7 +195,6 @@ def _publish(node: Regex, key: tuple, order: tuple, nullable: bool, text=None) -
     _set_nullable(node, nullable)
     _set_canon(node, None if text is None else True)
     _set_derivs(node, None)
-    _set_classes(node, None)
     _set_text(node, text)
     ref = _Ref(node, _drop)
     ref.key = key

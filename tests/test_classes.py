@@ -9,7 +9,9 @@ from hypothesis import given
 import helpers
 from derivrex import (
     EMPTY,
+    EPSILON,
     PairBudgetError,
+    Regex,
     StateBudgetError,
     build_dfa,
     canonicalize,
@@ -147,3 +149,43 @@ class TestClasses:
         m = classes(canonicalize(parse(nth(0))))
         assert m["a"] != m["b"] == m["z"]
         assert classes(canonicalize(parse("a(b+c)"))) == {"a": 0}
+
+
+class TestMapsArePerCall:
+    # No term keeps a class map: each search makes a memo of its own, so a
+    # second search on the same terms runs on warm derivatives and fresh maps.
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_searches_called_twice_agree_with_the_references(self, n):
+        s = "(" + "+".join(SIGMA) + ")"
+        left = parse(nth(n))
+        reshaped = parse(f"({s}-a)*a({s}*a)*" + s * n)
+        plus_z = parse(nth(n) + "+" + "z" * (n + 1))
+        for _ in range(2):
+            assert assert_same_search(left, reshaped, SIGMA) == ("verdict", True, None)
+            assert assert_same_search(left, plus_z, SIGMA) == ("verdict", False, "z" * (n + 1))
+            assert len(assert_same_closure(left, SIGMA)[1]) == 2 ** (n + 1)
+            assert len(assert_same_closure(plus_z, SIGMA)[1]) > 2 ** (n + 1)
+
+    def test_classes_called_twice_gives_equal_maps(self, corpus):
+        terms = [canonicalize(e) for e in corpus] + [EPSILON, canonicalize(parse(nth(3)))]
+        for c in terms:
+            assert classes(c) == classes(c)
+        assert classes(EPSILON) == classes(EPSILON) == {}
+
+    def test_a_memo_hit_on_an_empty_map_is_a_hit(self):
+        # The map of 1 is {}: a memo that holds it returns that very map.
+        memo = {}
+        m = classes(EPSILON, memo)
+        assert m == {} and memo[EPSILON] is m
+        assert classes(EPSILON, memo) is m
+        c = canonicalize(parse("a(1+b)"))
+        assert classes(c, memo) is classes(c, memo) is memo[c]
+
+    def test_no_term_keeps_a_map(self):
+        left, right = parse(nth(2)), parse(nth(2) + "+zzz")
+        d = build_dfa(left, SIGMA)
+        assert not equivalent(left, right, SIGMA).equal
+        for t in (*d.states, canonicalize(right)):
+            assert not hasattr(t, "_classes")
+        assert "_classes" not in Regex.__slots__

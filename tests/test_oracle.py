@@ -71,6 +71,16 @@ class TestEnumerate:
         with pytest.raises(EnumerationBudgetError):
             enumerate_lang(parse("(a+b)(a+b)"), 2, cap=3)
 
+    def test_budget_cap_on_a_union(self):
+        # Both operands fit in the cap of 1; their union of 2 words does
+        # not, and is stopped by the check that every finished slice passes.
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_lang(parse("a+b"), 1, cap=1)
+
+    def test_rejects_what_is_not_a_term(self):
+        with pytest.raises(TypeError):
+            enumerate_lang(5, 1)
+
     @given(helpers.regexes(max_leaves=6), st.integers(min_value=0, max_value=5))
     def test_slices_grow_monotonically(self, e, k):
         small = enumerate_lang(e, k).words

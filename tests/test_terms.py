@@ -172,6 +172,19 @@ class TestInternTable:
         _drop(parked)
         assert _INTERNED[key]() is t
 
+    def test_a_dead_reference_under_a_star_key_is_replaced(self):
+        # The same through the constructor of stars, whose key holds one id.
+        inner = Concat(Sym("z"), Star(Sym("y")))
+        key = (Star, id(inner))
+        assert key not in _INTERNED
+        parked = _Ref(Concat(Sym("y"), Sym("z")), None)
+        parked.key = key
+        gc.collect()
+        assert parked() is None
+        _INTERNED[key] = parked
+        t = Star(inner)
+        assert t.inner is inner and _INTERNED[key]() is t
+
     def test_a_node_that_loses_the_race_to_publish_gets_the_live_term(self):
         live = Concat(Sym("x"), Star(Sym("z")))
         key = (Concat, id(live.left), id(live.right))
