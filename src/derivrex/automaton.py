@@ -23,7 +23,8 @@ class Dfa(NamedTuple):
     """A total deterministic automaton over an ordered alphabet.
 
     ``transitions[i][j]`` is the state reached from state ``i`` on the
-    ``j``-th alphabet symbol.  State 0 is always the start state.
+    ``j``-th alphabet symbol.  build_dfa always starts at state 0;
+    from_json keeps the start its document names.
     """
 
     states: tuple[Regex, ...]

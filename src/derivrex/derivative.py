@@ -60,14 +60,15 @@ def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
     cls, kids, dr = type(e), (), None
     try:
         if cls is Union or cls is Intersect or cls is Diff:
-            # Count the chain's prefixes not yet derived (see _BATCH).  Merged
-            # pairwise, each operand's derivative that sorts below those
-            # merged so far rebuilds the chain above it.
-            kids, node = [], e.left
+            # Count the chain's prefixes not yet derived (see _BATCH); a -
+            # chain is never batched, so it is not counted.  Merged pairwise,
+            # each operand's derivative that sorts below those merged so far
+            # rebuilds the chain above it.
+            kids, node = [], None if cls is Diff else e.left
             while type(node) is cls and a not in (node._derivs or ()):
                 kids.append(node.right)
                 node = node.left
-            if len(kids) >= _BATCH and cls is not Diff:
+            if len(kids) >= _BATCH:
                 kids = [node, *kids, e.right]
                 d = _BUILD[cls](*[x._derivs[a] for x in kids])
             else:

@@ -376,17 +376,18 @@ def render(e: Regex) -> str:
     """Concrete syntax for a term.  parse(render(e)) gives back e itself."""
     if not isinstance(e, Regex):
         raise TypeError(f"not a regex term: {e!r}")
-    return e._text or _bottom_up(e, _text_step, e)
+    return e._text or _text_step(e, e)
 
 
-def _text_step(e: Regex, root: Regex) -> str | list[Regex]:
-    # The _bottom_up step of render: e's text, printed on an explicit stack
-    # where every node pushes its parts, in parentheses where _WRAP says so.
-    # Only root keeps its text, and so do the parts of another class in its
-    # class region, which automaton states share: root hands them back, and
-    # they print all below them inline, so texts total twice root's at most.
+def _text_step(e: Regex, root: Regex | None) -> str:
+    # e's text, printed on an explicit stack where every node pushes its
+    # parts, in parentheses where _WRAP says so.  Only root keeps its text,
+    # and so do the parts of another class in its class region, which
+    # automaton states share: each is printed where root meets it, by a call
+    # one frame deep that prints all below it inline, so texts total twice
+    # root's at most.
     cls = type(e)
-    parts, todo, stack = [], [], [e]
+    parts, stack = [], [e]
     while stack:
         x = stack.pop()
         if type(x) is str:
@@ -394,7 +395,7 @@ def _text_step(e: Regex, root: Regex) -> str | list[Regex]:
         elif (t := x._text) is not None:
             parts.append(t)
         elif type(x) is not cls and e is root:
-            todo.append(x)
+            parts.append(_text_step(x, None))
         elif type(x) is Star:
             stack += ("*", ")", x.inner, "(") if type(x.inner) in _LOOSER[Star] else ("*", x.inner)
         else:
@@ -405,8 +406,6 @@ def _text_step(e: Regex, root: Regex) -> str | list[Regex]:
                 stack += (")", left, "(")
             else:
                 stack.append(left)
-    if todo:
-        return todo
     text = "".join(parts)
     _set_text(e, text)
     return text
@@ -460,10 +459,11 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...], key=_sort_key) -> R
     # rather than "1+(a+b)*a".  None if there is no operand.
     #
     # first is canonical, so its chain is in that order already.  Only its
-    # operands above the smallest new one are taken off and merged with the
-    # new ones; the prefix below keeps its nodes, and so the derivatives
-    # and texts kept on them.  Appending one operand to a k-wide chain
-    # costs one comparison and one node, not a sort and k lookups.
+    # operands from the smallest new one up are taken off and sorted with
+    # the new ones, whose set drops repeats; the prefix below keeps its
+    # nodes, and so the derivatives and texts kept on them.  Appending one
+    # operand to a k-wide chain costs one comparison and one node, not a
+    # sort and k lookups.
     try:
         one = first is EPSILON
         node = None if one or first is EMPTY else first
@@ -511,28 +511,14 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...], key=_sort_key) -> R
         new.discard(EMPTY)
         new.discard(EPSILON)
         if new:
-            ordered = sorted(new, key=key)
-            low = ordered[0]
-            low_key = key(low)
-            olds = []  # the operands taken off, largest first
+            low = min(map(key, new))
             while node is not None:
                 top = node.right if type(node) is cls else node
-                if top is low:  # already in the prefix: add it once
-                    del ordered[0]
+                if key(top) < low:
                     break
-                if key(top) < low_key:
-                    break
-                olds.append(top)
+                new.add(top)
                 node = node.left if type(node) is cls else None
-            merged = []
-            for x in ordered:
-                while olds and key(olds[-1]) < key(x):
-                    merged.append(olds.pop())
-                if olds and olds[-1] is x:
-                    olds.pop()
-                merged.append(x)
-            merged += reversed(olds)
-            for x in merged:
+            for x in sorted(new, key=key):
                 node = x if node is None else _node(cls, node, x)
         if one:
             node = EPSILON if node is None else _node(cls, node, EPSILON)

@@ -214,6 +214,25 @@ class TestExports:
             d = build_dfa(e, alphabet)
             assert to_dot(d) == helpers.reference_to_dot(d)
 
+    def test_a_document_may_start_at_another_state(self):
+        # build_dfa always starts at state 0; a document names its start.
+        d = build_dfa(parse("(a+b)*a"), "ab")
+        assert len(d.states) == 2 and d.start == 0
+        swap = (1, 0)
+        moved = Dfa(
+            d.states[::-1],
+            d.alphabet,
+            1,
+            frozenset(swap[i] for i in d.accepting),
+            tuple(tuple(swap[j] for j in row) for row in d.transitions[::-1]),
+        )
+        text = helpers.reference_to_json(moved)
+        loaded = from_json(text)
+        assert loaded == moved
+        assert to_json(loaded) == text
+        for w in helpers.words_upto(4):
+            assert dfa_accepts(loaded, w) is dfa_accepts(d, w) is w.endswith("a")
+
     def test_exports_of_two_states_over_no_letters(self):
         # A closure over no letters has one state, but from_json accepts
         # more: an empty row repeated must still give an empty list.

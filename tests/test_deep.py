@@ -33,6 +33,7 @@ from derivrex import (
     dfa_accepts,
     equivalent,
     from_json,
+    intersect,
     matches,
     parse,
     render,
@@ -116,6 +117,32 @@ def test_appending_tall_literals_one_at_a_time(monkeypatch):
     assert compares == [0] + [1] * 19  # not a sort of every operand
     assert u is union(EMPTY, *reversed(words))
     assert syntax._operands(u, Union) == words
+
+
+@pytest.mark.parametrize("top", [(), (EPSILON,)], ids=["plain", "under-1"])
+@pytest.mark.parametrize("build,cls", [(union, Union), (intersect, Intersect)], ids=["+", "&"])
+def test_merging_tall_operands_into_a_tall_chain(monkeypatch, build, cls, top):
+    # Two operands that sort inside the chain: the merge takes the chain's
+    # operands above the lower one off and sorts them in, on tall keys.
+    tall = []
+
+    class SeenKey(syntax._TallKey):
+        __slots__ = ()
+
+        def __init__(self, x):
+            tall.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(syntax, "_TallKey", SeenKey)
+    a, b, c, d, e = (parse("ab" * 600 + x) for x in "abcde")
+    chain = build(a, c, e, *top)
+    assert syntax._operands(chain, cls) == [a, c, e, *top]
+    for rest in ((b, d), (d, b), (build(b, d),)):
+        tall.clear()
+        got = build(chain, *rest)
+        assert tall  # the merge ran again on tall keys
+        assert syntax._operands(got, cls) == [a, b, c, d, e, *top]
+        assert got is build(e, d, c, b, a, *top)
 
 
 def test_union_of_tall_keys_that_share_subkeys():
