@@ -20,7 +20,6 @@ from .syntax import (
     Word,
     _BUILD,
     _bottom_up,
-    _set_derivs,
     canonicalize,
     concat,
     require_symbol,
@@ -50,8 +49,7 @@ def _deriv(a: str, e: Regex) -> Regex:
     # the result canonical.  Results are kept on e, one per symbol.  a is
     # checked on a miss, before it becomes a key, so every string key is a
     # letter; the other keys are the terms _merge put under a + or & chain.
-    memo = e._derivs
-    return memo and memo.get(a) or _bottom_up(e, _deriv_step, require_symbol(a))
+    return e._derivs.get(a) or _bottom_up(e, _deriv_step, require_symbol(a))
 
 
 def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
@@ -65,7 +63,7 @@ def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
             # each operand's derivative that sorts below those merged so far
             # rebuilds the chain above it.
             kids, node = [], None if cls is Diff else e.left
-            while type(node) is cls and a not in (node._derivs or ()):
+            while type(node) is cls and a not in node._derivs:
                 kids.append(node.right)
                 node = node.left
             if len(kids) >= _BATCH:
@@ -85,8 +83,8 @@ def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
             d = concat(e.inner._derivs[a], e)
         else:
             d = EPSILON if cls is Sym and e.ch == a else EMPTY
-    except (KeyError, TypeError):  # not derived yet, or no table yet
-        todo = [x for x in kids if a not in (x._derivs or ())]
+    except KeyError:  # a child not derived by a yet
+        todo = [x for x in kids if a not in x._derivs]
         if todo:
             return todo
         raise
@@ -94,8 +92,6 @@ def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
         # A canonical term is its own union with 0, which union would take
         # apart and sort.
         d = dr if d is EMPTY else d if dr is EMPTY else union(d, dr)
-    if e._derivs is None:
-        _set_derivs(e, {})
     e._derivs[a] = d
     return d
 
@@ -160,11 +156,11 @@ def deriv_word(w: Word, e: Regex) -> Regex:
 
     The derivative tables kept on the nodes are the transitions of a lazily
     built DFA whose states are canonical terms, so each symbol is first
-    looked up in the current node's table, one dict lookup once warm.  A
-    miss computes the derivative, which fills the table in.  _deriv checks
-    each symbol before it becomes a key, so a hit proves the symbol valid
-    and a bad symbol raises the same AlphabetError whether the table is
-    warm or cold.  The table of a + or & chain also keeps, keyed by terms,
+    looked up in the current node's table, which every node has from
+    birth: one dict lookup once warm.  A miss computes the derivative,
+    which fills the table in.  _deriv checks each symbol before it becomes
+    a key, so a hit proves the symbol valid and a bad symbol raises the
+    same AlphabetError whether the table is warm or cold.  The table of a + or & chain also keeps, keyed by terms,
     the chains that union and intersect built with those terms under it;
     a string never equals a term, so a symbol never finds them.
     """
@@ -172,7 +168,7 @@ def deriv_word(w: Word, e: Regex) -> Regex:
     for ch in w:
         try:
             node = node._derivs[ch]
-        except (KeyError, TypeError):  # not computed yet, or no table yet
+        except KeyError:  # not computed yet
             node = _deriv(ch, node)
     return node
 

@@ -46,9 +46,10 @@ class Regex:
     returns that very object, so equality and hashing are by identity and
     cost O(1) whatever the size of the term.  Every node keeps its own memos
     (sort key, nullability, canonical form, derivatives, printed text),
-    which are freed together with the last reference to the node.  The
-    derivative table of a + or & chain also keeps the chains built with a
-    term under it, keyed by that term.  Terms are immutable: setting an
+    which are freed together with the last reference to the node.  A node
+    is born with its derivative table, an empty dict that derivatives fill
+    in; the table of a + or & chain also keeps the chains built with a term
+    under it, keyed by that term.  Terms are immutable: setting an
     attribute raises AttributeError.
     """
 
@@ -190,11 +191,12 @@ def _publish(node: Regex, key: tuple, order: tuple, nullable: bool, text=None) -
     # Completes a node whose fields are set and returns the live term under
     # key.  No lock: a key holds a class and ints or a letter, so setdefault
     # runs no Python code and is atomic; a node that loses a race dies.
-    # 0, 1 and symbols come with their text, and are canonical.
+    # 0, 1 and symbols come with their text, and are canonical.  Every node
+    # gets its own derivative table here, and no code sets the slot again.
     _set_key(node, order)
     _set_nullable(node, nullable)
     _set_canon(node, None if text is None else True)
-    _set_derivs(node, None)
+    _set_derivs(node, {})
     _set_text(node, text)
     ref = _Ref(node, _drop)
     ref.key = key
@@ -487,7 +489,7 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...], key=_sort_key) -> R
             if type(node) is cls and low is not EMPTY and low is not EPSILON:
                 passed, under = [], node
                 while type(under) is cls:
-                    if (memo := under._derivs) and (kept := memo.get(t)):
+                    if kept := under._derivs.get(t):
                         under = kept
                         break
                     passed.append(under)
@@ -497,8 +499,6 @@ def _merge(cls: type, first: Regex, rest: tuple[Regex, ...], key=_sort_key) -> R
                 if under is not None:
                     for prefix in reversed(passed):
                         under = _node(cls, under, prefix.right)
-                        if prefix._derivs is None:
-                            _set_derivs(prefix, {})
                         prefix._derivs[t] = under
                     return _node(cls, under, EPSILON) if one else under
         new: set[Regex] = set()

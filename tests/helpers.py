@@ -5,6 +5,7 @@ import json
 import random
 import string
 from collections import deque
+from operator import and_, gt, or_
 
 from hypothesis import strategies as st
 
@@ -306,6 +307,119 @@ def reference_build_dfa(e, alphabet, max_states):
         pos += 1
     accepting = frozenset(i for i, t in enumerate(states) if nullable(t))
     return Dfa(tuple(states), alpha, 0, accepting, tuple(rows))
+
+
+def oracle_dfa(e, alphabet):
+    """A total DFA for the language of *e* over *alphabet*, built without
+    derivatives, nullability or canonical forms.
+
+    The automaton of each subterm is built once, children first, on an
+    explicit stack: atoms directly, ``+ & -`` as products, concatenation
+    and star by subset constructions.  States are numbers, found
+    breadth-first from the start 0 in alphabet order, so only reachable
+    ones are kept; the result is not minimized.  It comes as a Dfa whose
+    states are its own numbers.
+    """
+    alpha = tuple(dict.fromkeys(alphabet))
+    built = {}
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        match x:
+            case Star(inner):
+                kids = (inner,)
+            case Concat(l, r) | Intersect(l, r) | Diff(l, r) | Union(l, r):
+                kids = (l, r)
+            case _:
+                kids = ()
+        todo = [k for k in kids if k not in built]
+        if todo:
+            stack += todo
+        else:
+            stack.pop()
+            built[x] = _oracle_step(x, [built[k] for k in kids], alpha)
+    return built[e]
+
+
+_PRODUCT = {Union: or_, Intersect: and_, Diff: gt}
+
+
+def _oracle_step(x, kids, alpha):
+    # x's automaton from its children's, as a breadth-first closure from a
+    # start key under step(key, column), with accept(key) per key.
+    match x:
+        case Empty():
+            return _closure(alpha, None, lambda k, j: None, lambda k: False)
+        case Epsilon():
+            return _closure(alpha, True, lambda k, j: False, lambda k: k)
+        case Sym(ch):  # keys: 0 before the letter, 1 after it, 2 dead
+            return _closure(
+                alpha, 0, lambda k, j: 1 if k == 0 and alpha[j] == ch else 2, lambda k: k == 1
+            )
+        case Star():  # keys: None at the start, then the inner states of the open runs
+            (d,) = kids
+            rows, acc = d.transitions, d.accepting
+
+            def step(k, j):
+                runs = frozenset(rows[t][j] for t in ({0} if k is None else k))
+                return runs | {0} if runs & acc else runs
+
+            return _closure(alpha, None, step, lambda k: k is None or bool(k & acc))
+        case Concat():  # keys: the left state and the right states of the runs begun
+            left, right = kids
+
+            def begin(p):  # a right run begins where the left accepts
+                return frozenset({0} if p in left.accepting else ())
+
+            def step(k, j):
+                p = left.transitions[k[0]][j]
+                return p, frozenset(right.transitions[s][j] for s in k[1]) | begin(p)
+
+            return _closure(alpha, (0, begin(0)), step, lambda k: bool(k[1] & right.accepting))
+    left, right = kids
+    op = _PRODUCT[type(x)]
+    return _closure(
+        alpha,
+        (0, 0),
+        lambda k, j: (left.transitions[k[0]][j], right.transitions[k[1]][j]),
+        lambda k: op(k[0] in left.accepting, k[1] in right.accepting),
+    )
+
+
+def _closure(alpha, start, step, accept):
+    index, keys, rows = {start: 0}, [start], []
+    for k in keys:  # grows as new keys turn up
+        row = []
+        for j in range(len(alpha)):
+            t = step(k, j)
+            if t not in index:
+                index[t] = len(keys)
+                keys.append(t)
+            row.append(index[t])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, k in enumerate(keys) if accept(k))
+    return Dfa(tuple(range(len(keys))), alpha, 0, accepting, tuple(rows))
+
+
+def shortest_difference(d1, d2):
+    """The first word, shortest and then in alphabet order, that one of two
+    DFAs over the same alphabet accepts and the other does not; None if
+    their languages are equal.  A product walk, breadth-first from the two
+    starts."""
+    assert d1.alphabet == d2.alphabet
+    first = (d1.start, d2.start)
+    words = {first: ""}
+    queue = deque([first])
+    while queue:
+        p, q = pair = queue.popleft()
+        if (p in d1.accepting) != (q in d2.accepting):
+            return words[pair]
+        for j, a in enumerate(d1.alphabet):
+            nxt = (d1.transitions[p][j], d2.transitions[q][j])
+            if nxt not in words:
+                words[nxt] = words[pair] + a
+                queue.append(nxt)
+    return None
 
 
 def reference_union(*terms):

@@ -28,6 +28,7 @@ from derivrex import (
     Union,
     build_dfa,
     canonicalize,
+    deriv_word,
     enumerate_lang,
     matches,
     nullable,
@@ -35,8 +36,10 @@ from derivrex import (
     render,
     to_dot,
     to_json,
+    union,
 )
-from derivrex.syntax import _INTERNED, _Ref, _drop, _publish, _TallKey
+from derivrex import derivative
+from derivrex.syntax import LETTERS, _INTERNED, _Ref, _drop, _publish, _TallKey
 
 A, B = Sym("a"), Sym("b")
 
@@ -203,6 +206,71 @@ class TestInternTable:
         gc.collect()
         assert probe() is None
         assert key not in _INTERNED
+
+
+def fresh_letters(k):
+    # k letters whose symbols are not live, so building one builds a node.
+    gc.collect()
+    free = sorted(ch for ch in LETTERS if (ref := _INTERNED.get((Sym, ch))) is None or ref() is None)
+    assert len(free) >= k
+    return free[:k]
+
+
+class TestDerivativeTables:
+    # Every node is born with its own empty derivative table, and keeps
+    # that dict for life: only syntax sets the slot, once, in _publish.
+
+    def test_zero_and_one_are_born_with_empty_tables(self):
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(here.parent / "src"))
+        code = "from derivrex import EMPTY, EPSILON; print(EMPTY._derivs, EPSILON._derivs)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == ["{}", "{}"]
+
+    def test_new_nodes_are_born_with_empty_tables(self):
+        p, q, r, s = fresh_letters(4)
+        sym = Sym(p)
+        assert sym._derivs == {}
+        assert Star(sym)._derivs == {}
+        raw = parse(f"{q}+{q}")  # a parsed binary node, not canonical
+        assert type(raw) is Union and raw._derivs == {}
+        assert canonicalize(raw) is Sym(q) and Sym(q)._derivs == {}
+        chain = union(Sym(q), Sym(r), Sym(s))
+        assert chain._derivs == {} and chain.left._derivs == {}
+        under = union(chain, sym)  # put under the chain: its prefixes keep it
+        assert under._derivs == {} and chain._derivs == {sym: under}
+
+    def test_a_node_keeps_its_table_object(self):
+        e = canonicalize(nth_from_last(3))
+        nodes = _reachable(e)
+        tables = [x._derivs for x in nodes]
+        assert nullable(deriv_word("abba", e))
+        assert e._derivs and e._derivs is tables[0]
+        assert len(build_dfa(e, "ab").states) == 16
+        c, d, f = fresh_letters(3)
+        chain = union(Sym(d), Sym(f), e)
+        held = [(chain, chain._derivs), (chain.left, chain.left._derivs)]
+        low = Sym(c)
+        assert union(chain, low) is union(chain, low)
+        assert low in chain._derivs and low in chain.left._derivs
+        assert all(x._derivs is t for x, t in zip(nodes, tables))
+        assert all(x._derivs is t for x, t in held)
+
+    def test_derivative_sets_no_slot(self):
+        assert not [name for name in vars(derivative) if name.startswith("_set_")]
+
+
+def _reachable(e):
+    # e and its subterms, e first, each once.
+    seen, stack = {}, [e]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen[x] = None
+            stack += [getattr(x, f) for f in x.__match_args__ if f != "ch"]
+    return list(seen)
 
 
 # Whether l r is nullable, for l and r each one of 0, 1, a and a*, in that
