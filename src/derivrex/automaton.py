@@ -71,7 +71,7 @@ def build_dfa(
     rows = []
     maps: dict = {}  # the class maps of this build, for _class_leaders
     for state in states:  # grows as new states turn up
-        leaders = _class_leaders(alpha, maps, state)
+        leaders = _class_leaders(alpha, maps, state, state)
         row = []
         for j, a in enumerate(alpha):
             if leaders[j] < j:
@@ -148,16 +148,23 @@ def equivalent(
     return EquivVerdict(True, None)
 
 
-def _class_leaders(alpha: tuple, maps: dict, p: Regex, q: Regex | None = None) -> Sequence[int]:
+def _class_leaders(alpha: tuple, maps: dict, p: Regex, q: Regex) -> Sequence[int]:
     # For each letter, the position in alpha of the first letter in the same
-    # class of p (and of q), whose maps go into maps: a letter leads its class
-    # when that is itself.  Over two letters the maps cost more than the at
-    # most one derivative they save, so there every letter leads.
+    # class of p and of q, whose maps go into maps: a letter leads its class
+    # when that is itself.  A state alone is the pair of it with itself.  The
+    # list is kept in maps under the two maps' ids and alpha, so pairs whose
+    # maps are the same objects share it; maps holds both maps, so neither id
+    # is reused while it lives.  Over two letters the maps cost more than the
+    # at most one derivative they save, so there every letter leads.
     if len(alpha) < 3:
         return range(len(alpha))
-    cp, cq = classes(p, maps), {} if q is None else classes(q, maps)
-    first: dict[tuple, int] = {}
-    return [first.setdefault((cp.get(a), cq.get(a)), j) for j, a in enumerate(alpha)]
+    cp, cq = classes(p, maps), classes(q, maps)
+    leaders = maps.get(key := (id(cp), id(cq), alpha))
+    if leaders is None:
+        first: dict[tuple, int] = {}
+        leaders = [first.setdefault((cp.get(a), cq.get(a)), j) for j, a in enumerate(alpha)]
+        maps[key] = leaders
+    return leaders
 
 
 def to_dot(d: Dfa) -> str:

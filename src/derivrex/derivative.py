@@ -96,7 +96,7 @@ def _deriv_step(e: Regex, a: str) -> Regex | list[Regex]:
     return d
 
 
-def classes(e: Regex, memo: dict[Regex, dict[str, int]] | None = None) -> dict[str, int]:
+def classes(e: Regex, memo: dict | None = None) -> dict[str, int]:
     """The derivative classes of a canonical term, as a map from letter to id.
 
     Letters with one id have the same derivative, the very same object.  A
@@ -107,6 +107,9 @@ def classes(e: Regex, memo: dict[Regex, dict[str, int]] | None = None) -> dict[s
     before the other operands refine it, so (a+b+...+z) has a single class
     rather than 26.  No node keeps a map: the maps of e and its parts go
     into *memo*, which the caller owns, or into a fresh dict if none is given.
+    The meets that make them, and the symbol blocks of unions, go there too,
+    so that within one memo two maps are met once, and terms whose parts
+    share maps share the very same map.
     """
     memo = {} if memo is None else memo
     m = memo.get(e)  # the map of 1 is {}, so any map at all is a hit
@@ -134,21 +137,31 @@ def _classes_step(e: Regex, memo: dict) -> dict[str, int] | list[Regex]:
     todo = [x for x in kids if x not in memo]
     if todo:
         return todo
+    if cls is Union and m:
+        # Unions with the same symbol operands share one block map, so that
+        # their meets repeat: a canonical chain lists its letters in one order.
+        m = memo.setdefault(tuple(m), m)
     # Operands often share one map object: ab, a* and a all have a's.
     for part in {id(p): p for p in map(memo.__getitem__, kids)}.values():
-        m = _meet(m, part)
+        m = _meet(m, part, memo)
     memo[e] = m
     return m
 
 
-def _meet(m1: dict[str, int], m2: dict[str, int]) -> dict[str, int]:
+def _meet(m1: dict[str, int], m2: dict[str, int], memo: dict) -> dict[str, int]:
     # The coarsest partition refining both; absent letters count as a class.
+    # Kept in the class memo under the maps' ids, with the maps, so that
+    # neither id is reused while the memo lives: a repeat returns the same map.
     if not m2 or m2 is m1:
         return m1
     if not m1:
         return m2
-    ids: dict[tuple, int] = {}
-    return {c: ids.setdefault((m1.get(c), m2.get(c)), len(ids)) for c in m1 | m2}
+    kept = memo.get(key := (id(m1), id(m2)))
+    if kept is None:
+        ids: dict[tuple, int] = {}
+        m = {c: ids.setdefault((m1.get(c), m2.get(c)), len(ids)) for c in m1 | m2}
+        kept = memo[key] = (m1, m2, m)
+    return kept[2]
 
 
 def deriv_word(w: Word, e: Regex) -> Regex:

@@ -310,68 +310,62 @@ def parse(text: str, alphabet: Iterable[str] | None = None) -> Regex:
     outside it raise AlphabetError; otherwise any lowercase letter is
     accepted.
     """
-    # Precedence climbing over explicit stacks, so nesting costs no frames.
+    # Precedence climbing over explicit stacks, so nesting costs no frames,
+    # in one pass: each character is read once, and tested for whitespace
+    # only where it matched no token.
     allowed = None if alphabet is None else frozenset(alphabet)
     operands: list[Regex] = []
     pending: list[type | None] = []  # operators not yet applied; None is a '('
     depth = 0  # the number of Nones in pending
     want_operand = True
-    pos, end = 0, len(text)
-
-    def fold(prec: int) -> None:
-        # Apply the pending operators above the innermost '(' that bind at
-        # least as tightly as prec, topmost first.
-        while pending and pending[-1] is not None and _PREC[pending[-1]] >= prec:
-            right = operands.pop()
-            operands[-1] = _node(pending.pop(), operands[-1], right)
-
-    while True:
-        while pos < end and text[pos].isspace():
-            pos += 1
-        ch = text[pos] if pos < end else ""
-        if want_operand:
-            if ch == "(":
-                pending.append(None)
-                depth += 1
-            elif ch == "0":
-                operands.append(EMPTY)
-            elif ch == "1":
-                operands.append(EPSILON)
-            elif ch in LETTERS:
-                if allowed is not None and ch not in allowed:
-                    raise AlphabetError(
-                        f"symbol {ch!r} at position {pos} is not in the alphabet"
-                    )
-                operands.append(_sym(ch))
-            elif ch:
-                raise ParseError(f"unexpected {ch!r}", pos)
-            else:
-                raise ParseError("unexpected end of input", pos)
-            want_operand = ch == "("
-        elif ch in _INFIX:  # left-associative: fold the equal ones too
-            op = _INFIX[ch]
-            fold(_PREC[op])
-            pending.append(op)
-            want_operand = True
-        elif ch == "*":
-            operands[-1] = _star(operands[-1])
-        elif ch == ")" and depth:
-            fold(0)
-            pending.pop()
-            depth -= 1
-        elif ch and (ch in "01(" or ch in LETTERS):
-            # Juxtaposition nests to the right: nothing is folded.
+    for pos, ch in enumerate(text):
+        if not want_operand:
+            if ch in _INFIX:  # left-associative: apply the equal ones too
+                op = _INFIX[ch]
+                prec = _PREC[op]
+                while pending and pending[-1] is not None and _PREC[pending[-1]] >= prec:
+                    right = operands.pop()
+                    operands[-1] = _node(pending.pop(), operands[-1], right)
+                pending.append(op)
+                want_operand = True
+                continue
+            if ch == "*":
+                operands[-1] = _star(operands[-1])
+                continue
+            if ch == ")" and depth:  # apply the operators above its '('
+                while pending[-1] is not None:
+                    right = operands.pop()
+                    operands[-1] = _node(pending.pop(), operands[-1], right)
+                pending.pop()
+                depth -= 1
+                continue
+            if ch not in LETTERS and ch not in "01(":
+                if ch.isspace():
+                    continue
+                raise ParseError("expected ')'" if depth else f"unexpected {ch!r}", pos)
+            # Juxtaposition nests to the right: nothing is applied, and the
+            # operand is read below.
             pending.append(Concat)
-            want_operand = True
+        if ch in LETTERS:
+            if allowed is not None and ch not in allowed:
+                raise AlphabetError(f"symbol {ch!r} at position {pos} is not in the alphabet")
+            operands.append(_sym(ch))
+        elif ch == "(":
+            pending.append(None)
+            depth += 1
+        elif ch == "0" or ch == "1":
+            operands.append(EMPTY if ch == "0" else EPSILON)
+        elif ch.isspace():
             continue
-        elif depth:
-            raise ParseError("expected ')'", pos)
-        elif ch:
-            raise ParseError(f"unexpected {ch!r}", pos)
         else:
-            fold(0)
-            return operands[0]
-        pos += 1
+            raise ParseError(f"unexpected {ch!r}", pos)
+        want_operand = ch == "("
+    if want_operand or depth:
+        raise ParseError("unexpected end of input" if want_operand else "expected ')'", len(text))
+    while pending:
+        right = operands.pop()
+        operands[-1] = _node(pending.pop(), operands[-1], right)
+    return operands[0]
 
 
 def render(e: Regex) -> str:
@@ -598,30 +592,42 @@ def canonicalize(e: Regex) -> Regex:
 
     The result denotes the same language, and canonicalizing it again
     returns the same object.  The result is kept on *e* (the slot holds
-    True once the term is known to be canonical itself).
+    True once the term is known to be canonical itself).  Within one call,
+    a + or & chain is built once per set of canonical operands, however
+    many times and in whatever orders the term writes it.
     """
     c = e._canon
     if c is True:
         return e
-    return c or _bottom_up(e, _canon_step)
+    return c or _bottom_up(e, _canon_step, {})
 
 
 _BUILD = {Union: union, Intersect: intersect, Concat: concat, Diff: diff, Star: star}
 
 
-def _canon_step(e: Regex, _=None) -> Regex | list[Regex]:
+def _canon_step(e: Regex, chains: dict) -> Regex | list[Regex]:
     # The _bottom_up step of canonicalize: the builder of e's class over its
     # children's canonical forms.  A + or & chain goes in whole, not
-    # pairwise.
+    # pairwise, and its builder runs once per call for a set of operands:
+    # + and & are ACI, so the result depends on that set alone, and chains
+    # keeps it.
     cls = type(e)
-    if cls is Union or cls is Intersect:
+    chain = cls is Union or cls is Intersect
+    if chain:
         kids = _operands(e, cls)
     else:
         kids = [e.inner] if cls is Star else [e.left, e.right]
     todo = [x for x in kids if x._canon is None]
     if todo:
         return todo
-    c = _BUILD[cls](*[x if x._canon is True else x._canon for x in kids])
+    kids = [x if x._canon is True else x._canon for x in kids]
+    if chain:
+        key = (cls, frozenset(kids))
+        c = chains.get(key)
+        if c is None:
+            c = chains[key] = _BUILD[cls](*kids)
+    else:
+        c = _BUILD[cls](*kids)
     if c is not e:
         _set_canon(e, c)
     _set_canon(c, True)

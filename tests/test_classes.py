@@ -16,11 +16,13 @@ from derivrex import (
     build_dfa,
     canonicalize,
     deriv_sym,
+    deriv_word,
     equivalent,
     parse,
     to_dot,
     to_json,
 )
+from derivrex.automaton import _class_leaders
 from derivrex.derivative import classes
 
 SIGMA = string.ascii_lowercase
@@ -189,3 +191,41 @@ class TestMapsArePerCall:
         for t in (*d.states, canonicalize(right)):
             assert not hasattr(t, "_classes")
         assert "_classes" not in Regex.__slots__
+
+
+class TestOneMemoMeetsEachPairOnce:
+    # Within one memo, two maps are met once, and the leaders of a pair of
+    # maps are listed once: terms whose parts share maps share the results.
+
+    @staticmethod
+    def states():
+        # Σ*aΣ^3+Σ^3 and Σ*aΣ^3+Σ^2, two states of Σ*aΣ^3.  Σ^3 and Σ^2 both
+        # have Σ's map, so the two unions meet the same two maps.
+        e = canonicalize(parse(nth(3)))
+        return deriv_word("a", e), deriv_word("ab", e)
+
+    def test_states_that_share_their_parts_maps_share_one_map(self):
+        s1, s2 = self.states()
+        memo = {}
+        m = classes(s1, memo)
+        assert classes(s2, memo) is m
+        assert m == classes(s2)  # as a fresh memo gives it
+        assert m["a"] != m["b"] == m["z"]
+
+    def test_unions_of_the_same_letters_share_one_block(self):
+        # ab and ac both have a's map, and a+b+c is the block of both.
+        memo = {}
+        m = classes(canonicalize(parse("a+b+c+ab")), memo)
+        assert classes(canonicalize(parse("a+b+c+ac")), memo) is m
+        assert m == {"a": 1, "b": 0, "c": 0}
+
+    def test_pairs_of_the_same_maps_share_one_leader_list(self):
+        s1, s2 = self.states()
+        start = canonicalize(parse(nth(3)))
+        alpha, maps = tuple(SIGMA), {}
+        # As build_dfa asks for a state alone, and as equivalent for a pair.
+        for q1, q2 in ((s1, s2), (start, start)):
+            leaders = _class_leaders(alpha, maps, s1, q1)
+            assert _class_leaders(alpha, maps, s2, q2) is leaders
+            assert leaders == _class_leaders(alpha, {}, s2, q2)
+        assert leaders == [0] + [1] * 25

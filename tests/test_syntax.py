@@ -5,6 +5,7 @@ import gc
 import itertools
 import random
 import re
+import string
 import sys
 import time
 import tracemalloc
@@ -124,6 +125,12 @@ class TestAgreesWithRecursiveDescent:
     @given(st.text(alphabet="01abc()+-&* \t\0", max_size=40))
     def test_random_texts(self, text):
         assert_parses_like_reference(text)
+
+    def test_every_short_text_with_every_token_kind(self):
+        # Every token kind, whitespace, two letters and a stray character.
+        for n in range(5):
+            for chars in itertools.product("01ab()+-&* $", repeat=n):
+                assert_parses_like_reference("".join(chars))
 
 
 class TestRender:
@@ -363,6 +370,34 @@ class TestBuildersBuildOnlyNewNodes:
         monkeypatch.undo()
         assert len(made) == calls  # p, q, r and s on m+n, and 1 on top
         assert got is reference(first, t)
+
+
+@pytest.mark.parametrize("op,build,reference", BUILDERS)
+class TestCanonicalizeBuildsEachChainOnce:
+    """Within one canonicalize call, a + or & chain written in several
+    orders is built once: the builder runs once per set of operands."""
+
+    @staticmethod
+    def text(op, seed):
+        # The 26 letters joined by op in six seeded orders, side by side.
+        rng = random.Random(seed)
+        orders = [rng.sample(string.ascii_lowercase, 26) for _ in range(6)]
+        return "".join(f"({op.join(order)})" for order in orders)
+
+    def test_six_orders_build_the_chain_once(self, op, build, reference, monkeypatch):
+        kind, e = (Union if op == "+" else Intersect), parse(self.text(op, 2828))
+        made = []
+        node = syntax._node
+        monkeypatch.setattr(syntax, "_node", lambda *args: made.append(args) or node(*args))
+        got = canonicalize(e)
+        monkeypatch.undo()
+        assert sum(cls is kind for cls, *_ in made) == 25  # one chain of 26
+        chain = want = reference(*map(Sym, string.ascii_lowercase))
+        for _ in range(5):  # juxtaposition nests to the right
+            want = concat(chain, want)
+        assert got is want
+        # A second call, on other orders, gives the same object.
+        assert canonicalize(parse(self.text(op, 2829))) is got
 
 
 @pytest.mark.parametrize("op,build,reference", BUILDERS)
